@@ -102,7 +102,7 @@ pub fn from_aag(text: &str) -> Result<Aig, ParseAigerError> {
             "latches are not supported (combinational only)",
         ));
     }
-    if m < i + a {
+    if i.checked_add(a).is_none_or(|defined| m < defined) {
         return Err(ParseAigerError::new(lineno + 1, "M < I + A"));
     }
 
@@ -126,7 +126,9 @@ pub fn from_aag(text: &str) -> Result<Aig, ParseAigerError> {
         lit_map.insert(raw, lit);
     }
 
-    let mut output_raw: Vec<(usize, u32)> = Vec::with_capacity(o as usize);
+    // Each output takes a line of at least two bytes, so the text
+    // bounds how many can follow whatever the header claims.
+    let mut output_raw: Vec<(usize, u32)> = Vec::with_capacity((o as usize).min(text.len() / 2));
     for _ in 0..o {
         let (lineno, line) = lines
             .next()
@@ -363,13 +365,20 @@ pub fn from_aig_binary(bytes: &[u8]) -> Result<Aig, ParseAigerError> {
     if l != 0 {
         return Err(ParseAigerError::new(1, "latches are not supported"));
     }
-    if m != i + a {
+    if i.checked_add(a) != Some(m) {
         return Err(ParseAigerError::new(1, "binary aiger requires M = I + A"));
     }
+    if m > (u32::MAX - 1) / 2 {
+        return Err(ParseAigerError::new(1, "M too large for 32-bit literals"));
+    }
     let mut pos = newline + 1;
+    // Capacities below are capped by the remaining bytes (an output
+    // line takes at least two), so a hostile header cannot request a
+    // huge allocation up front.
+    let rest = bytes.len() - pos;
 
     // Output literal lines (ASCII decimal).
-    let mut output_codes: Vec<u32> = Vec::with_capacity(o as usize);
+    let mut output_codes: Vec<u32> = Vec::with_capacity((o as usize).min(rest / 2));
     for _ in 0..o {
         let end = bytes[pos..]
             .iter()
@@ -385,7 +394,7 @@ pub fn from_aig_binary(bytes: &[u8]) -> Result<Aig, ParseAigerError> {
     // AND gate delta stream.
     let mut aig = Aig::new();
     // code (variable number in the binary ordering) -> literal.
-    let mut lits: Vec<Lit> = Vec::with_capacity(m as usize + 1);
+    let mut lits: Vec<Lit> = Vec::with_capacity((m as usize + 1).min(rest + 1));
     lits.push(Lit::FALSE);
     for _ in 0..i {
         lits.push(aig.add_input());

@@ -341,6 +341,28 @@ fn corrupt_files_produce_typed_errors_not_panics() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A 32-byte header claiming four billion outputs once made the
+/// parser reserve 64 GB up front, aborting the process.
+#[test]
+fn hostile_aiger_header_is_a_typed_error() {
+    let err = read_netlist(data_dir().join("hostile_header.aag"))
+        .map(|_| ())
+        .expect_err("a header-only file must not parse");
+    assert_eq!(err.kind, NetlistErrorKind::Truncated, "{err}");
+    let binary = frontend_for_path(Path::new("x.aig")).unwrap();
+    for header in [
+        &b"aig 4294967295 0 0 4000000000 0\n"[..],
+        b"aig 4294967295 4294967295 0 0 1\n",
+        b"aig 4000000000 0 0 4000000000 4000000000\n",
+    ] {
+        let err = binary
+            .parse(header)
+            .map(|_| ())
+            .expect_err("must not parse");
+        assert_eq!(err.kind, NetlistErrorKind::Syntax, "{err}");
+    }
+}
+
 #[test]
 fn arbitrary_garbage_never_panics_any_frontend() {
     let garbage: &[&[u8]] = &[

@@ -680,7 +680,9 @@ impl FromJson for SaturationStats {
             rebuild_time: Duration::ZERO,
             relation_build_time: Duration::ZERO,
             total_matches: total_matches.expect_usize("total_matches")?,
-            // Per-rule profiles are struct-only like the phase times.
+            // Budget exhaustions and per-rule profiles are struct-only
+            // like the phase times.
+            budget_exhausted: 0,
             rules: Vec::new(),
         };
         let claimed = cancelled
@@ -1103,6 +1105,7 @@ mod tests {
                     rebuild_time: Duration::ZERO,
                     relation_build_time: Duration::ZERO,
                     total_matches: matches,
+                    budget_exhausted: 0,
                     rules: Vec::new(),
                 }
             })

@@ -202,6 +202,11 @@ pub struct SaturationStats {
     pub relation_build_time: Duration,
     /// Total substitutions found by the searchers across both phases.
     pub total_matches: usize,
+    /// Search walks truncated by the matcher's work budget, summed
+    /// over [`Iteration::budget_exhausted`] of both phases.
+    /// Struct-only, like the wall-clock fields: excluded from the
+    /// canonical JSON document and restored as zero by `FromJson`.
+    pub budget_exhausted: usize,
     /// Per-rule accounting merged across both phases, sorted by rule
     /// name. Struct-only, like the wall-clock fields above: excluded
     /// from the canonical JSON document (per-rule timings are
@@ -286,6 +291,7 @@ pub fn saturate_observed(
     let mut rebuild_time = Duration::ZERO;
     let mut relation_build_time = Duration::ZERO;
     let mut total_matches = 0usize;
+    let mut budget_exhausted = 0usize;
     let mut accumulate = |iterations: &[egraph::Iteration]| {
         for it in iterations {
             search_time += it.search_time;
@@ -294,6 +300,7 @@ pub fn saturate_observed(
             rebuild_time += it.rebuild_time;
             relation_build_time += it.relation_build_time;
             total_matches += it.total_matches;
+            budget_exhausted += it.budget_exhausted;
         }
     };
     accumulate(&runner1.iterations);
@@ -339,6 +346,7 @@ pub fn saturate_observed(
         rebuild_time,
         relation_build_time,
         total_matches,
+        budget_exhausted,
         rules,
     };
     (

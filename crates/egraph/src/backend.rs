@@ -105,12 +105,16 @@ impl FromStr for SearchBackendKind {
 /// [`RuleDirective::Skip`] — `None` for rules skipped by a mid-search
 /// cancel/deadline trip), plus the time this call spent building
 /// shared index structures (per-operator relations; zero for backends
-/// without a build step).
+/// without a build step) and how many walks ran out of work budget.
 pub struct BackendSearch {
     /// Per-rule match sets and timings, in rule-index order.
     pub slots: Vec<Option<(Vec<SearchMatches>, Duration)>>,
     /// Time spent (re)building shared relations/indexes this call.
     pub relation_build: Duration,
+    /// `(rule, class)` and `(trie branch, class)` walks that hit
+    /// [`MATCH_WORK_BUDGET`](crate::MATCH_WORK_BUDGET). The oracle
+    /// backend does not count its own.
+    pub budget_exhausted: usize,
 }
 
 /// One e-matching strategy driving a whole iteration's rule search.
@@ -262,6 +266,7 @@ where
     ) -> BackendSearch {
         assert_eq!(directives.len(), self.patterns.len());
         let patterns = &self.patterns;
+        let exhausted = AtomicUsize::new(0);
         let slots =
             search_rules_slots(
                 patterns.len(),
@@ -272,8 +277,7 @@ where
                     RuleDirective::Skip => Some((Vec::new(), Duration::ZERO)),
                     RuleDirective::Limit(limit) => {
                         let start = Instant::now();
-                        let matches =
-                            patterns[i].search_with_limit_and_token(egraph, limit, cancel);
+                        let matches = patterns[i].search_counted(egraph, limit, cancel, &exhausted);
                         Some((matches, start.elapsed()))
                     }
                 },
@@ -281,6 +285,7 @@ where
         BackendSearch {
             slots,
             relation_build: Duration::ZERO,
+            budget_exhausted: exhausted.into_inner(),
         }
     }
 }
@@ -305,11 +310,14 @@ where
         deadline: Option<Instant>,
         threads: usize,
     ) -> BackendSearch {
+        let exhausted = AtomicUsize::new(0);
+        let slots = self
+            .program
+            .search_counted(egraph, directives, cancel, deadline, threads, &exhausted);
         BackendSearch {
-            slots: self
-                .program
-                .search(egraph, directives, cancel, deadline, threads),
+            slots,
             relation_build: Duration::ZERO,
+            budget_exhausted: exhausted.into_inner(),
         }
     }
 }
@@ -355,6 +363,7 @@ where
         BackendSearch {
             slots,
             relation_build: Duration::ZERO,
+            budget_exhausted: 0,
         }
     }
 }

@@ -7,6 +7,7 @@
 
 use proptest::{proptest, ProptestConfig, TestRng};
 
+use crate::machine::BOUND_SCAN_LIMIT;
 use crate::{
     make_backend, CancelToken, EGraph, Id, Pattern, RuleDirective, RuleSetProgram,
     SearchBackendKind, SymbolLang,
@@ -20,6 +21,16 @@ type EG = EGraph<SymbolLang, ()>;
 /// caps cannot bind (equality of truncated sets is not guaranteed
 /// between enumeration orders).
 fn random_egraph(rng: &mut TestRng) -> EG {
+    random_egraph_padded(rng, false)
+}
+
+/// [`random_egraph`], optionally padding about a third of the
+/// classes (and always the last one built) with fresh distinct leaves,
+/// so bound-subterm checks meet classes on both sides of
+/// [`BOUND_SCAN_LIMIT`] — scanned below it, resolved through the memo
+/// above it. Leaves match no operator pattern, so the match sets stay
+/// small.
+fn random_egraph_padded(rng: &mut TestRng, pad: bool) -> EG {
     let mut eg = EG::default();
     let mut ids: Vec<Id> = ["a", "b", "c", "x", "y"]
         .iter()
@@ -38,6 +49,24 @@ fn random_egraph(rng: &mut TestRng) -> EG {
         };
         ids.push(eg.add(node));
     }
+    if pad {
+        let mut fresh = 0;
+        let last = ids.len() - 1;
+        for (k, &id) in ids.iter().enumerate() {
+            let n = if k == last {
+                BOUND_SCAN_LIMIT + 1
+            } else if rng.below(3) == 0 {
+                rng.below(2 * BOUND_SCAN_LIMIT as u64 + 2) as usize
+            } else {
+                0
+            };
+            for _ in 0..n {
+                let leaf = eg.add(SymbolLang::leaf(format!("pad{fresh}")));
+                fresh += 1;
+                eg.union(id, leaf);
+            }
+        }
+    }
     let n_unions = rng.below(6) as usize;
     for _ in 0..n_unions {
         let a = ids[rng.below(ids.len() as u64) as usize];
@@ -49,7 +78,9 @@ fn random_egraph(rng: &mut TestRng) -> EG {
 }
 
 /// The pattern shapes exercised: linear/nonlinear, nested, ground
-/// subterms, bare variables, and mixed ground/var arguments.
+/// subterms, bare variables, mixed ground/var arguments, repeated
+/// subterms (compiled to `Compare`) and fully bound subterms
+/// (compiled to `Check`, alone or over an earlier matched subterm).
 const PATTERNS: &[&str] = &[
     "(f ?x)",
     "(g ?x ?y)",
@@ -66,6 +97,12 @@ const PATTERNS: &[&str] = &[
     "(h (h ?a ?b) (h ?c ?d))",
     "?z",
     "a",
+    "(h (g ?a ?b) (g ?a ?b))",
+    "(g (f ?x) (h ?y (f ?x)))",
+    "(m ?a ?b (g ?a ?b))",
+    "(+ ?x (f (f ?x)))",
+    "(m (f ?x) ?y (h (f ?x) ?y))",
+    "(g ?x (h (f ?x) a))",
 ];
 
 /// Flattens search results for comparison: both matchers canonicalize,
@@ -84,13 +121,15 @@ proptest! {
     /// random e-graphs.
     #[test]
     fn prop_vm_matches_oracle(seed in 0u64..u64::MAX) {
-        let mut rng = TestRng::seeded(seed);
-        let eg = random_egraph(&mut rng);
-        for pat in PATTERNS {
-            let p: Pattern<SymbolLang> = pat.parse().unwrap();
-            let vm = flatten(p.search(&eg));
-            let oracle = flatten(p.search_oracle(&eg));
-            assert_eq!(vm, oracle, "pattern {pat} diverged (seed {seed:#x})");
+        for pad in [false, true] {
+            let mut rng = TestRng::seeded(seed);
+            let eg = random_egraph_padded(&mut rng, pad);
+            for pat in PATTERNS {
+                let p: Pattern<SymbolLang> = pat.parse().unwrap();
+                let vm = flatten(p.search(&eg));
+                let oracle = flatten(p.search_oracle(&eg));
+                assert_eq!(vm, oracle, "pattern {pat} diverged (pad {pad}, seed {seed:#x})");
+            }
         }
     }
 
@@ -153,6 +192,8 @@ proptest! {
             ("?z", "(g ?x ?y)"),                   // Scan mixed with bound root
             ("(g ?x ?y)", "(g ?x ?y)"),            // identical LHS twice
             ("(g a ?x)", "(g ?x ?y)"),             // Lookup vs wildcard under one root
+            ("(g ?x (f ?x))", "(g ?x ?y)"),        // Check vs wildcard after a shared Bind
+            ("(h (g ?a ?b) (g ?a ?b))", "(h (g ?a ?b) ?c)"), // repeated-subterm Compare
         ];
         for (a, b) in ADVERSARIAL {
             let pa: Pattern<SymbolLang> = a.parse().unwrap();
@@ -179,25 +220,31 @@ proptest! {
     /// search threads — with the single-pattern VM as the reference.
     #[test]
     fn prop_all_backends_agree(seed in 0u64..u64::MAX) {
-        let mut rng = TestRng::seeded(seed);
-        let eg = random_egraph(&mut rng);
-        let patterns: Vec<Pattern<SymbolLang>> =
-            PATTERNS.iter().map(|s| s.parse().unwrap()).collect();
-        let reference: Vec<_> = patterns.iter().map(|p| flatten(p.search(&eg))).collect();
-        let directives = vec![RuleDirective::Limit(usize::MAX); patterns.len()];
-        for &kind in SearchBackendKind::all() {
-            let refs: Vec<&Pattern<SymbolLang>> = patterns.iter().collect();
-            let mut backend = make_backend::<SymbolLang, ()>(kind, refs);
-            for threads in [1usize, 2, 5] {
-                let result = backend.search(&eg, &directives, &CancelToken::new(), None, threads);
-                for ((pat, expected), slot) in
-                    PATTERNS.iter().zip(&reference).zip(result.slots)
-                {
-                    let (matches, _) = slot.expect("no rule may be skipped without a cancel/deadline");
-                    assert_eq!(
-                        &flatten(matches), expected,
-                        "{kind} vs VM diverged on {pat} at {threads} threads (seed {seed:#x})"
-                    );
+        for pad in [false, true] {
+            let mut rng = TestRng::seeded(seed);
+            let eg = random_egraph_padded(&mut rng, pad);
+            let patterns: Vec<Pattern<SymbolLang>> =
+                PATTERNS.iter().map(|s| s.parse().unwrap()).collect();
+            let reference: Vec<_> = patterns.iter().map(|p| flatten(p.search(&eg))).collect();
+            let directives = vec![RuleDirective::Limit(usize::MAX); patterns.len()];
+            for &kind in SearchBackendKind::all() {
+                let refs: Vec<&Pattern<SymbolLang>> = patterns.iter().collect();
+                let mut backend = make_backend::<SymbolLang, ()>(kind, refs);
+                for threads in [1usize, 2, 5] {
+                    let result =
+                        backend.search(&eg, &directives, &CancelToken::new(), None, threads);
+                    assert_eq!(result.budget_exhausted, 0, "{kind}: caps must not bind here");
+                    for ((pat, expected), slot) in
+                        PATTERNS.iter().zip(&reference).zip(result.slots)
+                    {
+                        let (matches, _) =
+                            slot.expect("no rule may be skipped without a cancel/deadline");
+                        assert_eq!(
+                            &flatten(matches), expected,
+                            "{kind} vs VM diverged on {pat} at {threads} threads \
+                             (pad {pad}, seed {seed:#x})"
+                        );
+                    }
                 }
             }
         }

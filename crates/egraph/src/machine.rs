@@ -9,7 +9,12 @@
 //!   register `i` that match a pattern operator, writing each node's
 //!   children into fresh registers (the only backtracking point);
 //! * [`Instruction::Compare`] — require two registers to name the same
-//!   e-class (non-linear patterns, e.g. `(& ?a ?a)`);
+//!   e-class: a repeated variable (e.g. `(& ?a ?a)`), or a repeated
+//!   e-node subterm, which is compared against the register holding
+//!   its first occurrence instead of being matched again;
+//! * [`Instruction::Check`] — require the register to be the class of
+//!   a [`BoundTerm`]: a subterm whose variables are all bound by the
+//!   time the depth-first walk reaches it;
 //! * [`Instruction::Lookup`] — require the register to be the class of
 //!   a *ground* (variable-free) subterm, resolved once per search via
 //!   the e-graph's hash-cons `memo` instead of structural scanning;
@@ -17,20 +22,41 @@
 //!   root-variable patterns like `?x`, where the driver loop performs
 //!   the enumeration).
 //!
+//! # Bound and repeated subterms
+//!
+//! Once every variable of a subterm is bound, the subterm denotes one
+//! term, and on a clean e-graph hash-consing and congruence closure
+//! leave at most one class — and, level by level, at most one
+//! canonical e-node — that represents it. Matching it with
+//! `Bind`/`Compare` would re-enumerate whole classes to find that one
+//! path, and only that path can continue. `Check` decides it
+//! directly: a class of at most [`BOUND_SCAN_LIMIT`] e-nodes is
+//! scanned top-down (register children compared before recursing,
+//! stopping at the first success); a larger class is answered by
+//! resolving the subterm bottom-up through the memo
+//! ([`EGraph::lookup`]). A repeated subterm is the special case whose
+//! class already sits in a register. Both rewrites only drop paths
+//! that could never emit, so emission order and the per-class cap are
+//! unchanged, and match sets equal the plain `Bind` compilation's
+//! wherever that one did not run out of budget.
+//!
+//! # Limits
+//!
 //! Unlike the classic backtracking matcher this replaces, the VM never
 //! allocates or clones a substitution while searching: bindings live in
 //! the register bank, and a [`Subst`] is materialized only for each
-//! *surviving* match. The work budget
-//! ([`MATCH_WORK_BUDGET`]), the per-class
-//! match cap ([`MAX_SUBSTS_PER_CLASS`]),
-//! and a cooperative [`CancelToken`] are all enforced *inside* the VM
-//! loop, so cancellation latency is bounded by
-//! [`CANCEL_CHECK_QUANTUM`] e-node visits rather than by a whole rule
-//! search.
+//! *surviving* match. The work budget ([`MATCH_WORK_BUDGET`]) is
+//! charged one unit per e-node visited (by `Bind` or a `Check` scan)
+//! and per memo probe (by a `Check` resolution); the per-class match
+//! cap ([`MAX_SUBSTS_PER_CLASS`]) and a cooperative [`CancelToken`] are
+//! enforced *inside* the VM loop too, so cancellation latency is
+//! bounded by [`CANCEL_CHECK_QUANTUM`] budget units rather than by a
+//! whole rule search.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
+use crate::hash::FxHashMap;
 use crate::pattern::ENodeOrVar;
 use crate::{
     Analysis, CancelToken, EGraph, Id, Language, Pattern, RecExpr, SearchMatches, Subst, Var,
@@ -55,12 +81,21 @@ pub enum Instruction<L> {
         /// First output register for the matched node's children.
         out: Reg,
     },
-    /// Continue only if `regs[i]` and `regs[j]` are the same class.
+    /// Continue only if `regs[i]` and `regs[j]` are the same class
+    /// (a repeated variable or a repeated e-node subterm).
     Compare {
         /// First register.
         i: Reg,
         /// Second register.
         j: Reg,
+    },
+    /// Continue only if `regs[i]` is the class of the fully bound
+    /// subterm `term` (see [`BoundTerm`]).
+    Check {
+        /// The subterm, over registers bound earlier in the program.
+        term: Box<BoundTerm<L>>,
+        /// Register holding the class to test.
+        i: Reg,
     },
     /// Continue only if `regs[i]` is the class of the ground term
     /// `ground_terms[term]` (resolved through the hash-cons memo once
@@ -80,9 +115,131 @@ pub enum Instruction<L> {
     },
 }
 
-/// How often (in e-node visits) the VM polls its [`CancelToken`]: a
+/// How often (in budget units) the VM polls its [`CancelToken`]: a
 /// cancellation request stops the search within one such quantum.
 pub const CANCEL_CHECK_QUANTUM: usize = 256;
+
+/// The largest class a [`Instruction::Check`] scans; larger classes
+/// resolve the bound subterm through the hash-cons memo instead.
+pub const BOUND_SCAN_LIMIT: usize = 8;
+
+/// An operand of a [`BoundTerm`] node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Operand {
+    /// The class in this register: a bound variable, or an e-node
+    /// subterm matched earlier in the program.
+    Reg(Reg),
+    /// Another node of the same term (an index into its nodes).
+    Node(u32),
+}
+
+/// A non-ground pattern subterm whose variables are all bound when
+/// the program reaches it, compiled for [`Instruction::Check`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct BoundTerm<L> {
+    /// The term's e-nodes in post-order (the root last). Each node's
+    /// own child ids are zeroed; its operands say what they are.
+    nodes: Vec<(L, Vec<Operand>)>,
+}
+
+impl<L: Language> BoundTerm<L> {
+    /// Decides whether `class` represents the term under `regs`,
+    /// charging `budget` one unit per e-node visited or memo probe.
+    fn check<N: Analysis<L>>(
+        &self,
+        egraph: &EGraph<L, N>,
+        class: Id,
+        regs: &[Id],
+        budget: &mut usize,
+        cancel: &CancelToken,
+    ) -> Result<bool, RunOutcome> {
+        self.represents(egraph, self.nodes.len() - 1, class, regs, budget, cancel)
+    }
+
+    /// Whether `class` represents node `n`: a top-down scan of small
+    /// classes that stops at the first e-node whose register children
+    /// agree and whose node children are represented, or a memo
+    /// resolution for classes above [`BOUND_SCAN_LIMIT`].
+    fn represents<N: Analysis<L>>(
+        &self,
+        egraph: &EGraph<L, N>,
+        n: usize,
+        class: Id,
+        regs: &[Id],
+        budget: &mut usize,
+        cancel: &CancelToken,
+    ) -> Result<bool, RunOutcome> {
+        let eclass = egraph.eclass(class);
+        if eclass.len() > BOUND_SCAN_LIMIT {
+            let resolved = self.resolve(egraph, n, regs, budget, cancel)?;
+            return Ok(resolved == Some(egraph.find(class)));
+        }
+        let (pat, operands) = &self.nodes[n];
+        'enodes: for enode in eclass.iter() {
+            charge(budget, cancel)?;
+            if !pat.matches(enode) {
+                continue;
+            }
+            for (op, &child) in operands.iter().zip(enode.children()) {
+                if let Operand::Reg(r) = *op {
+                    if egraph.find(child) != egraph.find(regs[r as usize]) {
+                        continue 'enodes;
+                    }
+                }
+            }
+            for (op, &child) in operands.iter().zip(enode.children()) {
+                if let Operand::Node(m) = *op {
+                    if !self.represents(egraph, m as usize, child, regs, budget, cancel)? {
+                        continue 'enodes;
+                    }
+                }
+            }
+            return Ok(true);
+        }
+        Ok(false)
+    }
+
+    /// The class of node `n`, found bottom-up through the memo
+    /// (`None` if some level of it is absent from the e-graph).
+    fn resolve<N: Analysis<L>>(
+        &self,
+        egraph: &EGraph<L, N>,
+        n: usize,
+        regs: &[Id],
+        budget: &mut usize,
+        cancel: &CancelToken,
+    ) -> Result<Option<Id>, RunOutcome> {
+        let (pat, operands) = &self.nodes[n];
+        let mut enode = pat.clone();
+        for (child, op) in enode.children_mut().iter_mut().zip(operands) {
+            *child = match *op {
+                Operand::Reg(r) => regs[r as usize],
+                Operand::Node(m) => match self.resolve(egraph, m as usize, regs, budget, cancel)? {
+                    Some(id) => id,
+                    None => return Ok(None),
+                },
+            };
+        }
+        charge(budget, cancel)?;
+        Ok(egraph.lookup(&enode))
+    }
+}
+
+/// Spends one unit of `budget`, polling `cancel` whenever the
+/// remaining budget crosses a [`CANCEL_CHECK_QUANTUM`] boundary.
+/// `#[inline]`: it runs once per e-node visit, inside VM loops that
+/// are instantiated in downstream crates.
+#[inline]
+fn charge(budget: &mut usize, cancel: &CancelToken) -> Result<(), RunOutcome> {
+    if *budget == 0 {
+        return Err(RunOutcome::BudgetExhausted);
+    }
+    *budget -= 1;
+    if budget.is_multiple_of(CANCEL_CHECK_QUANTUM) && cancel.is_cancelled() {
+        return Err(RunOutcome::Cancelled);
+    }
+    Ok(())
+}
 
 /// Why a program run stopped early.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -113,60 +270,34 @@ impl<L: Language> Program<L> {
     /// Compiles a pattern AST. Instructions follow the pattern's
     /// depth-first preorder (root first, children left to right), which
     /// keeps the VM's match enumeration order aligned with the
-    /// classic recursive matcher.
+    /// classic recursive matcher. Per e-node subterm, in order of
+    /// preference: a ground one compiles to `Lookup`, one structurally
+    /// equal to a subterm matched earlier to `Compare`, one whose
+    /// variables are all bound to `Check`, and any other to `Bind`.
     pub fn compile(ast: &RecExpr<ENodeOrVar<L>>) -> Self {
-        let ground = ground_map(ast);
-        let mut prog = Program {
-            instructions: Vec::new(),
-            ground_terms: Vec::new(),
-            subst_template: Vec::new(),
-            n_regs: 1,
+        let mut compiler = Compiler {
+            ast,
+            ground: ground_map(ast),
+            shape: shape_map(ast),
+            matched: Vec::new(),
+            prog: Program {
+                instructions: Vec::new(),
+                ground_terms: Vec::new(),
+                subst_template: Vec::new(),
+                n_regs: 1,
+            },
         };
         let root = ast.root();
         if let ENodeOrVar::Var(v) = &ast[root] {
-            prog.instructions.push(Instruction::Scan { out: 0 });
-            prog.subst_template.push((*v, 0));
-            return prog;
+            compiler
+                .prog
+                .instructions
+                .push(Instruction::Scan { out: 0 });
+            compiler.prog.subst_template.push((*v, 0));
+            return compiler.prog;
         }
-        prog.compile_node(ast, &ground, root, 0);
-        prog
-    }
-
-    fn compile_node(&mut self, ast: &RecExpr<ENodeOrVar<L>>, ground: &[bool], pat: Id, reg: Reg) {
-        match &ast[pat] {
-            ENodeOrVar::Var(v) => {
-                if let Some(&(_, first)) = self.subst_template.iter().find(|(u, _)| u == v) {
-                    self.instructions
-                        .push(Instruction::Compare { i: reg, j: first });
-                } else {
-                    self.subst_template.push((*v, reg));
-                }
-            }
-            ENodeOrVar::ENode(_) if ground[pat.index()] => {
-                let term = self.ground_terms.len();
-                self.ground_terms.push(extract_ground_term(ast, pat));
-                self.instructions.push(Instruction::Lookup { term, i: reg });
-            }
-            ENodeOrVar::ENode(node) => {
-                let arity = node.children().len();
-                // Guard the *last* output register too, not just the
-                // base: `out + arity - 1` must stay within `Reg`.
-                assert!(
-                    self.n_regs + arity <= usize::from(Reg::MAX) + 1,
-                    "pattern too large for register file"
-                );
-                let out = self.n_regs as Reg;
-                self.n_regs += arity;
-                self.instructions.push(Instruction::Bind {
-                    node: node.clone(),
-                    i: reg,
-                    out,
-                });
-                for (k, &child) in node.children().iter().enumerate() {
-                    self.compile_node(ast, ground, child, out + k as Reg);
-                }
-            }
-        }
+        compiler.compile_node(root, 0);
+        compiler.prog
     }
 
     /// Returns `true` if this program starts with a [`Instruction::Scan`]
@@ -201,9 +332,10 @@ impl<L: Language> Program<L> {
     /// from [`Program::resolve_ground_terms`] on the same (clean)
     /// e-graph; `regs` is the reusable register bank (resized here, so
     /// one allocation serves a whole multi-class search). `budget` is
-    /// decremented once per e-node visited; matching stops when it
-    /// reaches zero, when `substs` has grown by `max_substs`, or
-    /// within [`CANCEL_CHECK_QUANTUM`] visits of `cancel` being set.
+    /// decremented once per e-node visited or memo probe; matching
+    /// stops when it reaches zero, when `substs` has grown by
+    /// `max_substs`, or within [`CANCEL_CHECK_QUANTUM`] units of
+    /// `cancel` being set.
     #[allow(clippy::too_many_arguments)]
     pub fn run<N: Analysis<L>>(
         &self,
@@ -239,6 +371,122 @@ impl<L: Language> Program<L> {
                 .map(|&(v, _)| (v, eclass))
                 .collect(),
         )
+    }
+}
+
+/// Compilation state of one [`Program`].
+struct Compiler<'a, L> {
+    ast: &'a RecExpr<ENodeOrVar<L>>,
+    /// Per AST node: whether its subtree is variable-free.
+    ground: Vec<bool>,
+    /// Per AST node: its structural class (equal iff the subtrees are
+    /// equal).
+    shape: Vec<usize>,
+    /// `(shape, register)` of every e-node subterm whose class sits in
+    /// a register once its instructions have run.
+    matched: Vec<(usize, Reg)>,
+    prog: Program<L>,
+}
+
+impl<L: Language> Compiler<'_, L> {
+    fn compile_node(&mut self, pat: Id, reg: Reg) {
+        let ast = self.ast;
+        match &ast[pat] {
+            ENodeOrVar::Var(v) => match self.var_reg(*v) {
+                Some(first) => self
+                    .prog
+                    .instructions
+                    .push(Instruction::Compare { i: reg, j: first }),
+                None => self.prog.subst_template.push((*v, reg)),
+            },
+            ENodeOrVar::ENode(_) if self.ground[pat.index()] => {
+                let term = self.prog.ground_terms.len();
+                self.prog.ground_terms.push(extract_ground_term(ast, pat));
+                self.prog
+                    .instructions
+                    .push(Instruction::Lookup { term, i: reg });
+            }
+            ENodeOrVar::ENode(node) => {
+                if let Some(first) = self.matched_reg(pat) {
+                    self.prog
+                        .instructions
+                        .push(Instruction::Compare { i: reg, j: first });
+                    return;
+                }
+                if self.all_bound(pat) {
+                    let mut term = BoundTerm { nodes: Vec::new() };
+                    self.bound_operand(&mut term, pat);
+                    self.prog.instructions.push(Instruction::Check {
+                        term: Box::new(term),
+                        i: reg,
+                    });
+                } else {
+                    let arity = node.children().len();
+                    // Guard the *last* output register too, not just
+                    // the base: `out + arity - 1` must stay within
+                    // `Reg`.
+                    assert!(
+                        self.prog.n_regs + arity <= usize::from(Reg::MAX) + 1,
+                        "pattern too large for register file"
+                    );
+                    let out = self.prog.n_regs as Reg;
+                    self.prog.n_regs += arity;
+                    self.prog.instructions.push(Instruction::Bind {
+                        node: node.clone(),
+                        i: reg,
+                        out,
+                    });
+                    for (k, &child) in node.children().iter().enumerate() {
+                        self.compile_node(child, out + k as Reg);
+                    }
+                }
+                self.matched.push((self.shape[pat.index()], reg));
+            }
+        }
+    }
+
+    /// The register a variable was first bound to, if any.
+    fn var_reg(&self, v: Var) -> Option<Reg> {
+        let template = &self.prog.subst_template;
+        template.iter().find(|(u, _)| *u == v).map(|&(_, r)| r)
+    }
+
+    /// The register of an earlier matched subterm equal to `pat`.
+    fn matched_reg(&self, pat: Id) -> Option<Reg> {
+        let shape = self.shape[pat.index()];
+        self.matched
+            .iter()
+            .find(|(s, _)| *s == shape)
+            .map(|&(_, r)| r)
+    }
+
+    /// Whether every variable under `pat` is already bound.
+    fn all_bound(&self, pat: Id) -> bool {
+        match &self.ast[pat] {
+            ENodeOrVar::Var(v) => self.var_reg(*v).is_some(),
+            ENodeOrVar::ENode(n) => n.children().iter().all(|&c| self.all_bound(c)),
+        }
+    }
+
+    /// Appends `pat` to `term` in post-order, referring to registers
+    /// for bound variables and for subterms already matched.
+    fn bound_operand(&self, term: &mut BoundTerm<L>, pat: Id) -> Operand {
+        if let Some(r) = self.matched_reg(pat) {
+            return Operand::Reg(r);
+        }
+        match &self.ast[pat] {
+            ENodeOrVar::Var(v) => Operand::Reg(self.var_reg(*v).expect("bound variable")),
+            ENodeOrVar::ENode(n) => {
+                let operands = n
+                    .children()
+                    .iter()
+                    .map(|&c| self.bound_operand(term, c))
+                    .collect();
+                term.nodes
+                    .push((n.map_children(|_| Id::from_index(0)), operands));
+                Operand::Node(term.nodes.len() as u32 - 1)
+            }
+        }
     }
 }
 
@@ -284,12 +532,8 @@ impl Machine<'_> {
             } => {
                 let class = egraph.eclass(self.regs[*i as usize]);
                 for enode in class.iter() {
-                    if *budget == 0 {
-                        return RunOutcome::BudgetExhausted;
-                    }
-                    *budget -= 1;
-                    if budget.is_multiple_of(CANCEL_CHECK_QUANTUM) && self.cancel.is_cancelled() {
-                        return RunOutcome::Cancelled;
+                    if let Err(stop) = charge(budget, self.cancel) {
+                        return stop;
                     }
                     if !node.matches(enode) {
                         continue;
@@ -310,6 +554,19 @@ impl Machine<'_> {
                     self.exec(egraph, prog, ground, pc + 1, budget, out)
                 } else {
                     RunOutcome::Complete
+                }
+            }
+            Instruction::Check { term, i } => {
+                match term.check(
+                    egraph,
+                    self.regs[*i as usize],
+                    self.regs,
+                    budget,
+                    self.cancel,
+                ) {
+                    Ok(true) => self.exec(egraph, prog, ground, pc + 1, budget, out),
+                    Ok(false) => RunOutcome::Complete,
+                    Err(stop) => stop,
                 }
             }
             Instruction::Lookup { term, i } => {
@@ -417,7 +674,8 @@ enum BranchKind<D> {
 /// pattern-specific: `Bind` child ids (which index the private
 /// pattern AST and are never read by the VM) are zeroed, and `Lookup`
 /// term indices are remapped into one shared deduplicated
-/// ground-term table.
+/// ground-term table. `Check` terms carry no AST ids (the compiler
+/// zeroes them), so equal bound subterms compare equal as they are.
 ///
 /// # Exactness
 ///
@@ -770,6 +1028,20 @@ impl<L: Language> RuleSetProgram<L> {
         cancel: &CancelToken,
         deadline: Option<Instant>,
     ) -> Vec<Option<(Vec<SearchMatches>, Duration)>> {
+        self.serial_counted(egraph, directives, cancel, deadline, &AtomicUsize::new(0))
+    }
+
+    /// [`RuleSetProgram::search_serial`], adding to `exhausted` the
+    /// walks that hit [`MATCH_WORK_BUDGET`]: one per `(branch, class)`
+    /// shared walk and one per `(rule, class)` solo re-run.
+    fn serial_counted<N: Analysis<L>>(
+        &self,
+        egraph: &EGraph<L, N>,
+        directives: &[RuleDirective],
+        cancel: &CancelToken,
+        deadline: Option<Instant>,
+        exhausted: &AtomicUsize,
+    ) -> Vec<Option<(Vec<SearchMatches>, Duration)>> {
         assert!(
             egraph.is_clean(),
             "search requires a clean (rebuilt) e-graph"
@@ -787,7 +1059,7 @@ impl<L: Language> RuleSetProgram<L> {
                 break;
             }
             let Some((results, elapsed)) =
-                self.search_branch(egraph, b, directives, &ground, cancel, deadline)
+                self.search_branch(egraph, b, directives, &ground, cancel, deadline, exhausted)
             else {
                 break;
             };
@@ -817,8 +1089,29 @@ impl<L: Language> RuleSetProgram<L> {
         N: Analysis<L> + Sync,
         N::Data: Sync,
     {
+        let exhausted = AtomicUsize::new(0);
+        self.search_counted(egraph, directives, cancel, deadline, threads, &exhausted)
+    }
+
+    /// [`RuleSetProgram::search`], counting budget-exhausted walks in
+    /// `exhausted` (see [`RuleSetProgram::search_serial`]).
+    pub(crate) fn search_counted<N>(
+        &self,
+        egraph: &EGraph<L, N>,
+        directives: &[RuleDirective],
+        cancel: &CancelToken,
+        deadline: Option<Instant>,
+        threads: usize,
+        exhausted: &AtomicUsize,
+    ) -> Vec<Option<(Vec<SearchMatches>, Duration)>>
+    where
+        L: Sync,
+        L::Discriminant: Sync,
+        N: Analysis<L> + Sync,
+        N::Data: Sync,
+    {
         if threads <= 1 || self.branches.len() <= 1 {
-            return self.search_serial(egraph, directives, cancel, deadline);
+            return self.serial_counted(egraph, directives, cancel, deadline, exhausted);
         }
         assert!(
             egraph.is_clean(),
@@ -847,9 +1140,9 @@ impl<L: Language> RuleSetProgram<L> {
                             if cancel.is_cancelled() || past(deadline) {
                                 break;
                             }
-                            match self
-                                .search_branch(egraph, b, directives, ground, cancel, deadline)
-                            {
+                            match self.search_branch(
+                                egraph, b, directives, ground, cancel, deadline, exhausted,
+                            ) {
                                 Some(r) => done.push(r),
                                 None => break,
                             }
@@ -882,7 +1175,7 @@ impl<L: Language> RuleSetProgram<L> {
     /// Runs one branch to completion. Returns the per-rule match sets
     /// (rule index, matches) plus the branch's wall-clock, or `None`
     /// if a cancel/deadline trip left the branch incomplete.
-    #[allow(clippy::type_complexity)]
+    #[allow(clippy::type_complexity, clippy::too_many_arguments)]
     fn search_branch<N: Analysis<L>>(
         &self,
         egraph: &EGraph<L, N>,
@@ -891,12 +1184,13 @@ impl<L: Language> RuleSetProgram<L> {
         ground: &[Option<Id>],
         cancel: &CancelToken,
         deadline: Option<Instant>,
+        exhausted: &AtomicUsize,
     ) -> Option<(Vec<(usize, Vec<SearchMatches>)>, Duration)> {
         let start = Instant::now();
         let branch = &self.branches[b];
         let per_rule = match &branch.kind {
             BranchKind::Ops { .. } => {
-                self.search_ops_branch(egraph, b, directives, ground, cancel, deadline)?
+                self.search_ops_branch(egraph, b, directives, ground, cancel, deadline, exhausted)?
             }
             BranchKind::Scan => {
                 let rule = branch.rules[0];
@@ -918,6 +1212,7 @@ impl<L: Language> RuleSetProgram<L> {
     /// shared trie once per class and demultiplexing surviving
     /// substitutions into per-rule match sets (see the type-level
     /// exactness notes).
+    #[allow(clippy::too_many_arguments)]
     fn search_ops_branch<N: Analysis<L>>(
         &self,
         egraph: &EGraph<L, N>,
@@ -926,6 +1221,7 @@ impl<L: Language> RuleSetProgram<L> {
         ground: &[Option<Id>],
         cancel: &CancelToken,
         deadline: Option<Instant>,
+        exhausted: &AtomicUsize,
     ) -> Option<Vec<Vec<SearchMatches>>> {
         let branch = &self.branches[b];
         let root_plan = self.root_plan_range[b];
@@ -1006,6 +1302,7 @@ impl<L: Language> RuleSetProgram<L> {
             match outcome {
                 RunOutcome::Cancelled => return None,
                 RunOutcome::BudgetExhausted => {
+                    exhausted.fetch_add(1, Ordering::Relaxed);
                     // The shared budget starved this class: discard its
                     // shared results and re-run each active rule alone
                     // with a fresh per-rule budget — reproducing
@@ -1033,8 +1330,12 @@ impl<L: Language> RuleSetProgram<L> {
                             MAX_SUBSTS_PER_CLASS,
                             cancel,
                         );
-                        if solo_outcome == RunOutcome::Cancelled {
-                            return None;
+                        match solo_outcome {
+                            RunOutcome::Cancelled => return None,
+                            RunOutcome::BudgetExhausted => {
+                                exhausted.fetch_add(1, Ordering::Relaxed);
+                            }
+                            _ => {}
                         }
                     }
                 }
@@ -1209,8 +1510,9 @@ impl<L: Language> MultiMachine<'_, L> {
     /// Executes the trie node's instruction against the current
     /// registers, emitting at its leaves and descending into its
     /// active children. The budget/cancel discipline is byte-for-byte
-    /// the solo [`Machine`]'s: one decrement per e-node visit, token
-    /// polled every [`CANCEL_CHECK_QUANTUM`] decrements.
+    /// the solo [`Machine`]'s: one decrement per e-node visit or memo
+    /// probe, token polled every [`CANCEL_CHECK_QUANTUM`] decrements,
+    /// and `Check` runs the very same [`BoundTerm`] executor.
     fn exec<N: Analysis<L>>(
         &mut self,
         egraph: &EGraph<L, N>,
@@ -1226,12 +1528,8 @@ impl<L: Language> MultiMachine<'_, L> {
             } => {
                 let class = egraph.eclass(self.regs[*i as usize]);
                 for enode in class.iter() {
-                    if *budget == 0 {
-                        return RunOutcome::BudgetExhausted;
-                    }
-                    *budget -= 1;
-                    if budget.is_multiple_of(CANCEL_CHECK_QUANTUM) && self.cancel.is_cancelled() {
-                        return RunOutcome::Cancelled;
+                    if let Err(stop) = charge(budget, self.cancel) {
+                        return stop;
                     }
                     if !pat_node.matches(enode) {
                         continue;
@@ -1258,6 +1556,19 @@ impl<L: Language> MultiMachine<'_, L> {
                     self.emit_and_descend(egraph, node, budget)
                 } else {
                     RunOutcome::Complete
+                }
+            }
+            Instruction::Check { term, i } => {
+                match term.check(
+                    egraph,
+                    self.regs[*i as usize],
+                    self.regs,
+                    budget,
+                    self.cancel,
+                ) {
+                    Ok(true) => self.emit_and_descend(egraph, node, budget),
+                    Ok(false) => RunOutcome::Complete,
+                    Err(stop) => stop,
                 }
             }
             Instruction::Lookup { term, i } => {
@@ -1443,6 +1754,24 @@ pub(crate) fn ground_map<L: Language>(ast: &RecExpr<ENodeOrVar<L>>) -> Vec<bool>
     ground
 }
 
+/// Numbers each pattern node's subtree up to structural equality:
+/// two nodes get the same number iff their subtrees are equal.
+fn shape_map<L: Language>(ast: &RecExpr<ENodeOrVar<L>>) -> Vec<usize> {
+    let mut shapes: FxHashMap<ENodeOrVar<L>, usize> = FxHashMap::default();
+    let mut shape = Vec::with_capacity(ast.len());
+    for node in ast.iter() {
+        let key = match node {
+            ENodeOrVar::Var(v) => ENodeOrVar::Var(*v),
+            ENodeOrVar::ENode(n) => {
+                ENodeOrVar::ENode(n.map_children(|c| Id::from_index(shape[c.index()])))
+            }
+        };
+        let next = shapes.len();
+        shape.push(*shapes.entry(key).or_insert(next));
+    }
+    shape
+}
+
 /// Copies the ground subtree rooted at `pat` out of the pattern AST
 /// into a standalone [`RecExpr`] suitable for
 /// [`EGraph::lookup_expr`].
@@ -1496,6 +1825,51 @@ mod tests {
     }
 
     #[test]
+    fn repeated_subterm_compiles_to_compare() {
+        // Bind g -> regs 1, 2; Bind f on reg 1 -> reg 3 (?x); the
+        // second `(f ?x)` is the class in reg 1 again, not a new Bind.
+        let p = pat("(g (f ?x) (f ?x))");
+        let ins = p.program().instructions();
+        assert_eq!(ins.len(), 3);
+        assert!(matches!(ins[1], Instruction::Bind { i: 1, out: 3, .. }));
+        assert_eq!(ins[2], Instruction::Compare { i: 2, j: 1 });
+        assert_eq!(p.program().n_regs(), 4);
+    }
+
+    #[test]
+    fn bound_subterm_compiles_to_check() {
+        // `(h (f ?x) ?y)` is fully bound once `(f ?x)` and `?y` are:
+        // one Check over their registers, in place of a Bind and two
+        // Compares.
+        let p = pat("(m (f ?x) ?y (h (f ?x) ?y))");
+        let ins = p.program().instructions();
+        assert_eq!(ins.len(), 3, "{ins:?}");
+        let Instruction::Check { term, i: 3 } = &ins[2] else {
+            panic!("expected a Check on reg 3, got {:?}", ins[2]);
+        };
+        assert_eq!(term.nodes.len(), 1);
+        assert_eq!(term.nodes[0].1, [Operand::Reg(1), Operand::Reg(2)]);
+        // A nested bound subterm becomes a node of the same term.
+        let p = pat("(g ?x (h (f ?x) ?x))");
+        let ins = p.program().instructions();
+        assert_eq!(ins.len(), 2, "{ins:?}");
+        let Instruction::Check { term, i: 2 } = &ins[1] else {
+            panic!("expected a Check on reg 2, got {:?}", ins[1]);
+        };
+        assert_eq!(term.nodes[0].1, [Operand::Reg(1)]);
+        assert_eq!(term.nodes[1].1, [Operand::Node(0), Operand::Reg(1)]);
+    }
+
+    #[test]
+    fn ground_subterms_keep_lookup_even_when_repeated() {
+        let p = pat("(m ?x (f a) (f a))");
+        let ins = p.program().instructions();
+        assert_eq!(ins.len(), 3);
+        assert!(matches!(ins[1], Instruction::Lookup { term: 0, i: 2 }));
+        assert!(matches!(ins[2], Instruction::Lookup { term: 1, i: 3 }));
+    }
+
+    #[test]
     fn root_var_compiles_to_scan() {
         let p = pat("?x");
         assert!(p.program().is_scan());
@@ -1515,29 +1889,37 @@ mod tests {
     /// Builds a workload whose search does lots of *failing*
     /// backtracking (so neither the per-class match cap nor the work
     /// budget stops it early): `n_roots` classes `(g A_i B_i)` where
-    /// `A_i`/`B_i` each hold `width` f-nodes over disjoint leaves, and
-    /// the nonlinear probe `(g (f ?x) (f ?x))` never closes.
+    /// `A_i` holds `width` f-nodes and `B_i` holds `width` h-nodes,
+    /// all over disjoint leaves, and the nonlinear probe
+    /// `(g (f ?x) (h ?y ?x))` never closes. Its repeated `?x` sits
+    /// under an h-node that also binds `?y`, so the subterm is not
+    /// fully bound and must be enumerated node by node.
     fn explosive_workload(n_roots: usize, width: usize) -> (EG, Pattern<SymbolLang>) {
         let mut eg = EG::default();
         for r in 0..n_roots {
             let side = |tag: &str, eg: &mut EG| {
-                let fs: Vec<_> = (0..width)
+                let nodes: Vec<_> = (0..width)
                     .map(|i| {
                         let leaf = eg.add(SymbolLang::leaf(format!("{tag}{r}_{i}")));
-                        eg.add(SymbolLang::new("f", vec![leaf]))
+                        if tag == "a" {
+                            eg.add(SymbolLang::new("f", vec![leaf]))
+                        } else {
+                            let other = eg.add(SymbolLang::leaf(format!("c{r}_{i}")));
+                            eg.add(SymbolLang::new("h", vec![leaf, other]))
+                        }
                     })
                     .collect();
-                for w in fs.windows(2) {
+                for w in nodes.windows(2) {
                     eg.union(w[0], w[1]);
                 }
-                fs[0]
+                nodes[0]
             };
             let a = side("a", &mut eg);
             let b = side("b", &mut eg);
             eg.add(SymbolLang::new("g", vec![a, b]));
         }
         eg.rebuild();
-        (eg, pat("(g (f ?x) (f ?x))"))
+        (eg, pat("(g (f ?x) (h ?y ?x))"))
     }
 
     #[test]
@@ -1584,6 +1966,85 @@ mod tests {
             &CancelToken::new(),
         );
         assert_eq!(outcome, RunOutcome::BudgetExhausted);
+    }
+
+    /// Root `(g x H)` where `H` holds `(h (f x) x)` plus `pad` fresh
+    /// leaves, and a decoy root `(g y H)` that must not match
+    /// `(g ?x (h (f ?x) ?x))`.
+    fn bound_check_workload(pad: usize) -> (EG, Id) {
+        let mut eg = EG::default();
+        let x = eg.add(SymbolLang::leaf("x"));
+        let y = eg.add(SymbolLang::leaf("y"));
+        let fx = eg.add(SymbolLang::new("f", vec![x]));
+        let h = eg.add(SymbolLang::new("h", vec![fx, x]));
+        for k in 0..pad {
+            let leaf = eg.add(SymbolLang::leaf(format!("pad{k}")));
+            eg.union(h, leaf);
+        }
+        let root = eg.add(SymbolLang::new("g", vec![x, h]));
+        eg.add(SymbolLang::new("g", vec![y, h]));
+        eg.rebuild();
+        (eg, root)
+    }
+
+    #[test]
+    fn bound_check_scans_small_classes_and_probes_the_memo_above() {
+        let p = pat("(g ?x (h (f ?x) ?x))");
+        for pad in [
+            0,
+            BOUND_SCAN_LIMIT - 1,
+            BOUND_SCAN_LIMIT,
+            3 * BOUND_SCAN_LIMIT,
+        ] {
+            let (eg, root) = bound_check_workload(pad);
+            let matches = p.search(&eg);
+            assert_eq!(matches.len(), 1, "pad {pad}");
+            assert_eq!(matches[0].eclass, eg.find(root));
+            assert_eq!(flat(&matches), flat(&p.search_oracle(&eg)), "pad {pad}");
+        }
+    }
+
+    #[test]
+    fn budget_and_cancel_stop_inside_a_bound_check() {
+        // `(h ?x ?x)` is bound after `Bind g`, which visits one e-node;
+        // everything after that is spent inside the Check: a scan of
+        // `H` (no h-node with equal children) at or below the limit,
+        // one memo probe above it.
+        let p = pat("(g ?x (h ?x ?x))");
+        for pad in [BOUND_SCAN_LIMIT - 1, BOUND_SCAN_LIMIT + 1] {
+            let (eg, root) = bound_check_workload(pad);
+            let ground = p.program().resolve_ground_terms(&eg).unwrap();
+            let (mut regs, mut substs) = (Vec::new(), Vec::new());
+            let mut run = |budget: &mut usize, token: &CancelToken| {
+                p.program().run(
+                    &eg,
+                    root,
+                    &ground,
+                    &mut regs,
+                    &mut substs,
+                    budget,
+                    usize::MAX,
+                    token,
+                )
+            };
+            let mut budget = 1;
+            assert_eq!(
+                run(&mut budget, &CancelToken::new()),
+                RunOutcome::BudgetExhausted,
+                "pad {pad}"
+            );
+            assert_eq!(budget, 0);
+            let token = CancelToken::new();
+            token.cancel();
+            // The second unit crosses a quantum boundary inside the
+            // Check, where the set token must stop the run.
+            let mut budget = CANCEL_CHECK_QUANTUM + 2;
+            assert_eq!(run(&mut budget, &token), RunOutcome::Cancelled, "pad {pad}");
+            assert_eq!(budget, CANCEL_CHECK_QUANTUM);
+            let mut budget = MATCH_WORK_BUDGET;
+            assert_eq!(run(&mut budget, &CancelToken::new()), RunOutcome::Complete);
+            assert!(substs.is_empty(), "pad {pad}");
+        }
     }
 
     #[test]
@@ -1715,6 +2176,26 @@ mod tests {
         let cheap = pat("(g ?a ?b)");
         let pats = [explosive, cheap];
         assert_trie_matches_per_pattern(&eg, &pats, &[1]);
+    }
+
+    #[test]
+    fn budget_exhaustions_are_counted_per_walk() {
+        use crate::{make_backend, SearchBackendKind};
+        let (eg, explosive) = explosive_workload(2, 400);
+        let cheap = pat("(g ?a ?b)");
+        let directives = [RuleDirective::Limit(usize::MAX); 2];
+        let count = |kind| {
+            make_backend::<SymbolLang, ()>(kind, vec![&explosive, &cheap])
+                .search(&eg, &directives, &CancelToken::new(), None, 1)
+                .budget_exhausted
+        };
+        // One per (rule, class) run of the explosive probe.
+        assert_eq!(count(SearchBackendKind::PerPatternVm), 2);
+        // One per (branch, class) shared walk, plus the probe's solo
+        // re-run of each class.
+        assert_eq!(count(SearchBackendKind::SharedTrie), 4);
+        // The join finds no witness, so the VM never runs.
+        assert_eq!(count(SearchBackendKind::Relational), 0);
     }
 
     #[test]

@@ -7,6 +7,7 @@
 
 use std::fmt;
 use std::str::FromStr;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use crate::machine::{Program, RunOutcome};
 use crate::recexpr::{parse_sexp, Sexp};
@@ -263,7 +264,7 @@ impl<L: Language> Pattern<L> {
 
     /// Like [`Pattern::search_with_limit`], with a cooperative
     /// [`CancelToken`] checked *inside* the matching VM (every
-    /// [`crate::machine::CANCEL_CHECK_QUANTUM`] e-node visits), so a
+    /// [`crate::machine::CANCEL_CHECK_QUANTUM`] units of work), so a
     /// cancellation request stops even a single explosive rule search
     /// promptly. Matches found before the cancellation are returned.
     ///
@@ -275,6 +276,18 @@ impl<L: Language> Pattern<L> {
         egraph: &EGraph<L, N>,
         limit: usize,
         cancel: &CancelToken,
+    ) -> Vec<SearchMatches> {
+        self.search_counted(egraph, limit, cancel, &AtomicUsize::new(0))
+    }
+
+    /// [`Pattern::search_with_limit_and_token`], adding to `exhausted`
+    /// the number of classes whose run hit [`MATCH_WORK_BUDGET`].
+    pub(crate) fn search_counted<N: Analysis<L>>(
+        &self,
+        egraph: &EGraph<L, N>,
+        limit: usize,
+        cancel: &CancelToken,
+        exhausted: &AtomicUsize,
     ) -> Vec<SearchMatches> {
         assert!(
             egraph.is_clean(),
@@ -320,6 +333,9 @@ impl<L: Language> Pattern<L> {
                 break;
             }
             let (m, outcome) = self.run_vm_on_class(egraph, id, &ground, &mut regs, cancel);
+            if outcome == RunOutcome::BudgetExhausted {
+                exhausted.fetch_add(1, Ordering::Relaxed);
+            }
             if let Some(m) = m {
                 total += m.substs.len();
                 out.push(m);
@@ -419,7 +435,8 @@ impl<L: Language> Pattern<L> {
 /// The deterministic cap on substitutions explored per e-class.
 pub const MAX_SUBSTS_PER_CLASS: usize = 256;
 
-/// The deterministic cap on matcher *work* (e-node visits) per e-class:
+/// The deterministic cap on matcher *work* (e-node visits and memo
+/// probes) per e-class:
 /// backtracking over several wide e-classes multiplies, so output caps
 /// alone do not bound the scan cost.
 pub const MATCH_WORK_BUDGET: usize = 50_000;

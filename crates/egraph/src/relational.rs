@@ -36,6 +36,7 @@
 //! preserves the per-pattern output — including truncation — byte
 //! for byte.
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use crate::backend::{search_rules_slots, BackendSearch, SearchBackend};
@@ -305,6 +306,7 @@ where
         }
         let store = self.store.as_ref().map(|(_, s)| s);
         let (patterns, plans) = (&self.patterns, &self.plans);
+        let exhausted = AtomicUsize::new(0);
         let slots =
             search_rules_slots(
                 patterns.len(),
@@ -321,19 +323,23 @@ where
                         limit,
                         cancel,
                         deadline,
+                        &exhausted,
                     ),
                 },
             );
         BackendSearch {
             slots,
             relation_build,
+            budget_exhausted: exhausted.into_inner(),
         }
     }
 }
 
 /// Searches one rule: join-driven candidate selection plus the exact
 /// per-class VM confirm. Returns `None` (slot skipped) when a cancel
-/// or the deadline trips mid-rule.
+/// or the deadline trips mid-rule; counts confirm runs that hit the
+/// work budget in `exhausted`.
+#[allow(clippy::too_many_arguments)]
 fn search_rule<L: Language, N: Analysis<L>>(
     pattern: &Pattern<L>,
     plan: &RulePlan<L>,
@@ -342,10 +348,16 @@ fn search_rule<L: Language, N: Analysis<L>>(
     limit: usize,
     cancel: &CancelToken,
     deadline: Option<Instant>,
+    exhausted: &AtomicUsize,
 ) -> Option<(Vec<SearchMatches>, Duration)> {
     let start = Instant::now();
     let mut out = Vec::new();
     let mut total = 0usize;
+    let count = |outcome: RunOutcome| {
+        if outcome == RunOutcome::BudgetExhausted {
+            exhausted.fetch_add(1, Ordering::Relaxed);
+        }
+    };
     match plan {
         RulePlan::Scan => {
             // Same driver as the VM's Scan path: one subst per class,
@@ -373,6 +385,7 @@ fn search_rule<L: Language, N: Analysis<L>>(
                     let mut regs = Vec::new();
                     let (m, outcome) =
                         pattern.run_vm_on_class(egraph, id, &ground, &mut regs, cancel);
+                    count(outcome);
                     if outcome == RunOutcome::Cancelled {
                         return None;
                     }
@@ -432,6 +445,7 @@ fn search_rule<L: Language, N: Analysis<L>>(
                 }
                 let (m, outcome) =
                     pattern.run_vm_on_class(egraph, id, &vm_ground, &mut regs, cancel);
+                count(outcome);
                 if let Some(m) = m {
                     total += m.substs.len();
                     out.push(m);

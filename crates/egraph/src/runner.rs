@@ -116,6 +116,12 @@ pub struct Iteration {
     /// branch results are discarded), so the count never under-reports
     /// which rules missed their search.
     pub rules_skipped: usize,
+    /// Search walks that hit [`MATCH_WORK_BUDGET`](crate::MATCH_WORK_BUDGET)
+    /// and were truncated: one per `(rule, class)` run, or per
+    /// `(trie branch, class)` walk under the shared search (whose
+    /// solo re-runs count again if they exhaust too). Reported by the
+    /// directive-driven backends; zero on the legacy scheduler path.
+    pub budget_exhausted: usize,
 }
 
 /// Limits configuring a [`Runner`].
@@ -553,7 +559,7 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
                 .iter()
                 .map(|r| self.scheduler.search_directive(iteration, r))
                 .collect();
-            let (searched, relation_build_time) = match directives {
+            let (searched, relation_build_time, budget_exhausted) = match directives {
                 Some(directives) => {
                     let backend = backend.get_or_insert_with(|| {
                         let patterns: Vec<_> = rules.iter().map(|r| r.searcher()).collect();
@@ -562,7 +568,7 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
                     let deadline = start.checked_add(self.limits.time_limit);
                     let result =
                         backend.search(&self.egraph, &directives, &self.cancel, deadline, threads);
-                    (result.slots, result.relation_build)
+                    (result.slots, result.relation_build, result.budget_exhausted)
                 }
                 // A scheduler with bespoke search logic (any rule's
                 // directive is `None`) forces the legacy per-rule
@@ -570,8 +576,13 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
                 None if threads > 1 => (
                     self.search_parallel(rules, iteration, start, threads),
                     Duration::ZERO,
+                    0,
                 ),
-                None => (self.search_serial(rules, iteration, start), Duration::ZERO),
+                None => (
+                    self.search_serial(rules, iteration, start),
+                    Duration::ZERO,
+                    0,
+                ),
             };
             let search_time = search_start.elapsed();
 
@@ -645,6 +656,7 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
                 relation_build_time,
                 n_rebuilds,
                 rules_skipped,
+                budget_exhausted,
             });
             if let Some(hook) = &self.iteration_hook {
                 hook(iteration, self.iterations.last().unwrap());

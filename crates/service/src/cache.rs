@@ -335,6 +335,7 @@ mod tests {
                 rebuild_time: Duration::ZERO,
                 relation_build_time: Duration::ZERO,
                 total_matches: 0,
+                budget_exhausted: 0,
                 rules: Vec::new(),
             },
             pairing: boole::PairStats::default(),

@@ -586,6 +586,7 @@ mod tests {
                             rebuild_time: Duration::ZERO,
                             relation_build_time: Duration::ZERO,
                             total_matches: n1 + n2,
+                            budget_exhausted: 0,
                             rules: Vec::new(),
                         },
                         pairing: PairStats {

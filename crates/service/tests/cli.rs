@@ -312,6 +312,13 @@ fn unparseable_netlists_exit_nonzero_with_json_error() {
             "(undeclared)",
         ),
         ("bad3.blif", ".model t\n.inputs a\n", "(truncated)"),
+        // A header claiming four billion outputs: once an allocation
+        // abort, now a typed parse error.
+        (
+            "bad4.aag",
+            "aag 4294967295 0 0 4000000000 0\n",
+            "(truncated)",
+        ),
     ];
     for (file, contents, kind) in cases {
         let path = dir.join(file);

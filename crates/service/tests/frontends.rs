@@ -5,7 +5,7 @@
 use std::path::PathBuf;
 
 use boole::BooleParams;
-use boole_service::{fingerprint_aig, JobSpec, Service, ServiceConfig};
+use boole_service::{fingerprint_aig, JobSpec, JobStatus, Service, ServiceConfig};
 use proptest::prelude::*;
 
 fn temp_dir(tag: &str) -> PathBuf {
@@ -66,6 +66,23 @@ fn cross_format_submissions_share_one_cache_entry() {
     assert_eq!(stats.pipelines_run, 1, "one pipeline for three formats");
     assert_eq!(stats.cache.hits, 2);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A hostile AIGER header (four billion outputs in 32 bytes) fails
+/// its job with the parser's typed error instead of aborting the
+/// process on a huge allocation.
+#[test]
+fn hostile_aiger_header_fails_the_job() {
+    let path =
+        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../aig/tests/data/hostile_header.aag");
+    let service = Service::new(ServiceConfig {
+        num_workers: 1,
+        ..ServiceConfig::default()
+    });
+    let result = service.submit(JobSpec::file(&path)).wait();
+    assert_eq!(result.status(), JobStatus::Failed);
+    let stats = service.shutdown();
+    assert_eq!(stats.pipelines_run, 0);
 }
 
 #[test]
