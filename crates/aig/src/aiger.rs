@@ -38,6 +38,12 @@ impl fmt::Display for ParseAigerError {
 
 impl std::error::Error for ParseAigerError {}
 
+/// The most primary inputs [`from_aig_binary`] accepts. Binary AIGER
+/// inputs occupy no bytes, so the file size cannot bound the header's
+/// `I`; without a limit a 32-byte header could demand billions of
+/// inputs. The largest benchmark circuit has 128 inputs.
+pub const MAX_INPUTS: u32 = 1 << 20;
+
 /// Serializes an AIG to AIGER ASCII format (`.aag`), including output
 /// symbol names.
 pub fn to_aag(aig: &Aig) -> String {
@@ -370,6 +376,12 @@ pub fn from_aig_binary(bytes: &[u8]) -> Result<Aig, ParseAigerError> {
     }
     if m > (u32::MAX - 1) / 2 {
         return Err(ParseAigerError::new(1, "M too large for 32-bit literals"));
+    }
+    if i > MAX_INPUTS {
+        return Err(ParseAigerError::new(
+            1,
+            format!("I = {i} exceeds the input limit {MAX_INPUTS}"),
+        ));
     }
     let mut pos = newline + 1;
     // Capacities below are capped by the remaining bytes (an output

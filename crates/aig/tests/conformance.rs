@@ -342,13 +342,19 @@ fn corrupt_files_produce_typed_errors_not_panics() {
 }
 
 /// A 32-byte header claiming four billion outputs once made the
-/// parser reserve 64 GB up front, aborting the process.
+/// parser reserve 64 GB up front, and a binary one claiming two
+/// billion inputs added them one by one; both aborted the process.
 #[test]
 fn hostile_aiger_header_is_a_typed_error() {
-    let err = read_netlist(data_dir().join("hostile_header.aag"))
-        .map(|_| ())
-        .expect_err("a header-only file must not parse");
-    assert_eq!(err.kind, NetlistErrorKind::Truncated, "{err}");
+    for (file, kind) in [
+        ("hostile_header.aag", NetlistErrorKind::Truncated),
+        ("hostile_inputs.aig", NetlistErrorKind::Syntax),
+    ] {
+        let err = read_netlist(data_dir().join(file))
+            .map(|_| ())
+            .expect_err("a header-only file must not parse");
+        assert_eq!(err.kind, kind, "{file}: {err}");
+    }
     let binary = frontend_for_path(Path::new("x.aig")).unwrap();
     for header in [
         &b"aig 4294967295 0 0 4000000000 0\n"[..],

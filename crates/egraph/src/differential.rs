@@ -1,17 +1,16 @@
 //! Differential tests: the compiled e-matching VM must find exactly
 //! the same match sets as the legacy recursive backtracking matcher
 //! (kept as [`Pattern::search_oracle`]) on randomized e-graphs — and
-//! every pluggable [`SearchBackend`] (per-pattern VM, shared trie,
-//! relational generic join, oracle) must agree with all of them, at
-//! any thread count, under cancellation, and across merges.
+//! the shared-prefix trie ([`RuleSetProgram`]), the search path the
+//! runner uses, must agree with both, at any thread count, under
+//! scheduler directives and under cancellation.
 
 use proptest::{proptest, ProptestConfig, TestRng};
 
 use crate::machine::BOUND_SCAN_LIMIT;
-use crate::{
-    make_backend, CancelToken, EGraph, Id, Pattern, RuleDirective, RuleSetProgram,
-    SearchBackendKind, SymbolLang,
-};
+use std::sync::atomic::AtomicUsize;
+
+use crate::{CancelToken, EGraph, Id, Pattern, RuleDirective, RuleSetProgram, SymbolLang};
 
 type EG = EGraph<SymbolLang, ()>;
 
@@ -214,10 +213,10 @@ proptest! {
         }
     }
 
-    /// All four pluggable backends (per-pattern VM, shared trie,
-    /// relational generic join, recursive oracle) produce identical
-    /// per-rule slots over the whole pattern set — at 1, 2, and N
-    /// search threads — with the single-pattern VM as the reference.
+    /// The trie over the whole pattern set reproduces every rule's
+    /// single-pattern VM and recursive-oracle match set — at 1, 2, and
+    /// N search threads, on classes on both sides of the bound-check
+    /// scan limit — without any walk running out of budget.
     #[test]
     fn prop_all_backends_agree(seed in 0u64..u64::MAX) {
         for pad in [false, true] {
@@ -225,35 +224,41 @@ proptest! {
             let eg = random_egraph_padded(&mut rng, pad);
             let patterns: Vec<Pattern<SymbolLang>> =
                 PATTERNS.iter().map(|s| s.parse().unwrap()).collect();
-            let reference: Vec<_> = patterns.iter().map(|p| flatten(p.search(&eg))).collect();
+            let refs: Vec<&Pattern<SymbolLang>> = patterns.iter().collect();
+            let prog = RuleSetProgram::compile(&refs);
             let directives = vec![RuleDirective::Limit(usize::MAX); patterns.len()];
-            for &kind in SearchBackendKind::all() {
-                let refs: Vec<&Pattern<SymbolLang>> = patterns.iter().collect();
-                let mut backend = make_backend::<SymbolLang, ()>(kind, refs);
-                for threads in [1usize, 2, 5] {
-                    let result =
-                        backend.search(&eg, &directives, &CancelToken::new(), None, threads);
-                    assert_eq!(result.budget_exhausted, 0, "{kind}: caps must not bind here");
-                    for ((pat, expected), slot) in
-                        PATTERNS.iter().zip(&reference).zip(result.slots)
-                    {
-                        let (matches, _) =
-                            slot.expect("no rule may be skipped without a cancel/deadline");
-                        assert_eq!(
-                            &flatten(matches), expected,
-                            "{kind} vs VM diverged on {pat} at {threads} threads \
-                             (pad {pad}, seed {seed:#x})"
-                        );
-                    }
+            let vm: Vec<_> = patterns.iter().map(|p| flatten(p.search(&eg))).collect();
+            let oracle: Vec<_> = patterns.iter().map(|p| flatten(p.search_oracle(&eg))).collect();
+            for threads in [1usize, 2, 5] {
+                let exhausted = AtomicUsize::new(0);
+                let slots = prog.search_counted(
+                    &eg, &directives, &CancelToken::new(), None, threads, &exhausted,
+                );
+                assert_eq!(exhausted.into_inner(), 0, "caps must not bind here");
+                for (((pat, vm), oracle), slot) in PATTERNS.iter().zip(&vm).zip(&oracle).zip(slots) {
+                    let (matches, _) =
+                        slot.expect("no rule may be skipped without a cancel/deadline");
+                    let trie = flatten(matches);
+                    assert_eq!(
+                        &trie, vm,
+                        "trie vs VM diverged on {pat} at {threads} threads \
+                         (pad {pad}, seed {seed:#x})"
+                    );
+                    assert_eq!(
+                        &trie, oracle,
+                        "trie vs oracle diverged on {pat} (pad {pad}, seed {seed:#x})"
+                    );
                 }
             }
         }
     }
 
-    /// Backoff-style envelopes: every backend masks over-limit rules
-    /// and honors `Skip` directives identically. Limits small enough
-    /// to bind are exercised because truncation points must align
-    /// across backends (the "finish the class, then mask" discipline).
+    /// Backoff-style envelopes: the trie masks over-limit rules and
+    /// honors `Skip` directives exactly like per-rule
+    /// `search_with_limit_and_token` calls (a `Skip` yields no
+    /// matches). Limits small enough to bind are exercised because the
+    /// truncation points must align (the "finish the class, then mask"
+    /// discipline).
     #[test]
     fn prop_all_backends_agree_under_directives(seed in 0u64..u64::MAX) {
         let mut rng = TestRng::seeded(seed);
@@ -268,93 +273,25 @@ proptest! {
                 _ => RuleDirective::Limit(usize::MAX),
             })
             .collect();
-        let refs: Vec<&Pattern<SymbolLang>> = patterns.iter().collect();
-        let mut reference_backend =
-            make_backend::<SymbolLang, ()>(SearchBackendKind::PerPatternVm, refs);
-        let reference = reference_backend.search(&eg, &directives, &CancelToken::new(), None, 1);
-        for &kind in SearchBackendKind::all() {
-            let refs: Vec<&Pattern<SymbolLang>> = patterns.iter().collect();
-            let mut backend = make_backend::<SymbolLang, ()>(kind, refs);
-            for threads in [1usize, 2] {
-                let result = backend.search(&eg, &directives, &CancelToken::new(), None, threads);
-                for ((pat, expected), slot) in
-                    PATTERNS.iter().zip(&reference.slots).zip(result.slots)
-                {
-                    let expected = expected.as_ref().map(|(m, _)| flatten(m.clone()));
-                    let got = slot.map(|(m, _)| flatten(m));
-                    assert_eq!(
-                        got, expected,
-                        "{kind} diverged under directives on {pat} at {threads} threads (seed {seed:#x})"
-                    );
-                }
-            }
-        }
-    }
-
-    /// Relation staleness: a relational backend reused across a merge
-    /// and rebuild must not serve pre-merge tuples — its post-merge
-    /// results must equal a freshly built backend's (and the VM's).
-    #[test]
-    fn prop_relational_store_invalidated_by_merges(seed in 0u64..u64::MAX) {
-        let mut rng = TestRng::seeded(seed);
-        let mut eg = random_egraph(&mut rng);
-        let patterns: Vec<Pattern<SymbolLang>> =
-            PATTERNS.iter().map(|s| s.parse().unwrap()).collect();
-        let directives = vec![RuleDirective::Limit(usize::MAX); patterns.len()];
-        let refs: Vec<&Pattern<SymbolLang>> = patterns.iter().collect();
-        let mut stale = make_backend::<SymbolLang, ()>(SearchBackendKind::Relational, refs);
-        // Populate the backend's tuple cache on the pre-merge state.
-        stale.search(&eg, &directives, &CancelToken::new(), None, 1);
-        // Merge two random classes and rebuild.
-        let classes: Vec<Id> = eg.classes().map(|c| c.id).collect();
-        let a = classes[rng.below(classes.len() as u64) as usize];
-        let b = classes[rng.below(classes.len() as u64) as usize];
-        eg.union(a, b);
-        eg.rebuild();
-        let stale_result = stale.search(&eg, &directives, &CancelToken::new(), None, 1);
-        let refs: Vec<&Pattern<SymbolLang>> = patterns.iter().collect();
-        let mut fresh = make_backend::<SymbolLang, ()>(SearchBackendKind::Relational, refs);
-        let fresh_result = fresh.search(&eg, &directives, &CancelToken::new(), None, 1);
-        for (((pat, p), stale_slot), fresh_slot) in PATTERNS
+        let reference: Vec<_> = patterns
             .iter()
-            .zip(&patterns)
-            .zip(stale_result.slots)
-            .zip(fresh_result.slots)
-        {
-            let stale_matches = flatten(stale_slot.expect("not skipped").0);
-            assert_eq!(
-                stale_matches,
-                flatten(fresh_slot.expect("not skipped").0),
-                "reused relational backend diverged from fresh on {pat} (seed {seed:#x})"
-            );
-            assert_eq!(
-                stale_matches,
-                flatten(p.search(&eg)),
-                "reused relational backend diverged from VM on {pat} (seed {seed:#x})"
-            );
-        }
-    }
-
-    /// Mid-search cancellation over every backend: a pre-set token
-    /// must make the search report every rule as skipped (no partial
-    /// match sets leak), at any thread count.
-    #[test]
-    fn prop_backend_cancellation_skips_all(seed in 0u64..u64::MAX) {
-        let mut rng = TestRng::seeded(seed);
-        let eg = random_egraph(&mut rng);
-        let patterns: Vec<Pattern<SymbolLang>> =
-            PATTERNS.iter().map(|s| s.parse().unwrap()).collect();
-        let directives = vec![RuleDirective::Limit(usize::MAX); patterns.len()];
-        let token = CancelToken::new();
-        token.cancel();
-        for &kind in SearchBackendKind::all() {
-            let refs: Vec<&Pattern<SymbolLang>> = patterns.iter().collect();
-            let mut backend = make_backend::<SymbolLang, ()>(kind, refs);
-            for threads in [1usize, 3] {
-                let result = backend.search(&eg, &directives, &token, None, threads);
-                assert!(
-                    result.slots.iter().all(Option::is_none),
-                    "{kind} leaked slots under a pre-set cancel (seed {seed:#x})"
+            .zip(&directives)
+            .map(|(p, directive)| match *directive {
+                RuleDirective::Skip => Vec::new(),
+                RuleDirective::Limit(limit) => flatten(
+                    p.search_with_limit_and_token(&eg, limit, &CancelToken::new()),
+                ),
+            })
+            .collect();
+        let refs: Vec<&Pattern<SymbolLang>> = patterns.iter().collect();
+        let prog = RuleSetProgram::compile(&refs);
+        for threads in [1usize, 2] {
+            let slots = prog.search(&eg, &directives, &CancelToken::new(), None, threads);
+            for ((pat, expected), slot) in PATTERNS.iter().zip(&reference).zip(slots) {
+                let (matches, _) = slot.expect("not skipped");
+                assert_eq!(
+                    &flatten(matches), expected,
+                    "trie diverged under directives on {pat} at {threads} threads (seed {seed:#x})"
                 );
             }
         }

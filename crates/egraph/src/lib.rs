@@ -8,13 +8,12 @@
 //!   e-classes, and deferred congruence-closure rebuilding.
 //! * [`Language`] — the trait describing the operators of a term
 //!   language, plus [`RecExpr`] for concrete terms.
-//! * [`Pattern`] — s-expression patterns with variables (`?x`) and a
-//!   backtracking e-matcher.
+//! * [`Pattern`] — s-expression patterns with variables (`?x`), each
+//!   compiled to an e-matching VM program.
+//! * [`RuleSetProgram`] — a whole ruleset compiled into one
+//!   shared-prefix trie: the search path [`Runner`] uses.
 //! * [`Rewrite`] / [`Runner`] — rewrite rules and a saturation driver
 //!   with iteration, node, and time limits plus backoff scheduling.
-//! * [`SearchBackend`] / [`SearchBackendKind`] — pluggable e-matching
-//!   strategies (per-pattern VM, shared-prefix trie, generic-join
-//!   relational), all match-set-equal.
 //! * [`Extractor`] — cost-based term extraction with pluggable
 //!   [`CostFunction`]s.
 //!
@@ -40,7 +39,6 @@
 
 #![warn(missing_docs)]
 
-pub mod backend;
 mod cancel;
 #[cfg(test)]
 mod differential;
@@ -51,13 +49,11 @@ mod language;
 pub mod machine;
 mod pattern;
 mod recexpr;
-mod relational;
 mod rewrite;
 mod runner;
 mod symbol;
 mod unionfind;
 
-pub use crate::backend::{make_backend, BackendSearch, SearchBackend, SearchBackendKind};
 pub use crate::cancel::CancelToken;
 pub use crate::egraph::{EClass, EGraph};
 pub use crate::extract::{AstDepth, AstSize, CostFunction, Extractor};

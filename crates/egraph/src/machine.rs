@@ -1008,73 +1008,26 @@ impl<L: Language> RuleSetProgram<L> {
         }
     }
 
-    /// Searches the whole e-graph with every rule at once, serially
-    /// over the branches. Returns one slot per rule, in rule order:
-    /// `Some((matches, elapsed))` for searched rules (empty matches
-    /// for [`RuleDirective::Skip`]), `None` for rules whose branch was
-    /// cut short by cancellation or the deadline (= skipped; see the
-    /// type-level docs). Per-rule `elapsed` is the branch wall-clock
-    /// split evenly over the branch's searched rules, so the slots
-    /// always sum to at most the whole search's wall-clock.
+    /// Searches the whole e-graph with every rule at once, fanning the
+    /// branches out over `threads` scoped workers (`threads <= 1`
+    /// searches serially on the calling thread). Returns one slot per
+    /// rule, in rule order: `Some((matches, elapsed))` for searched
+    /// rules (empty matches for [`RuleDirective::Skip`]), `None` for
+    /// rules whose branch was cut short by cancellation or the
+    /// deadline (= skipped; see the type-level docs). Per-rule
+    /// `elapsed` is the branch wall-clock split evenly over the
+    /// branch's searched rules, so the slots always sum to at most the
+    /// branches' total wall-clock.
+    ///
+    /// Branches own disjoint rule sets and the per-branch work does not
+    /// depend on the thread count, so the slots are byte-identical at
+    /// any thread count (short of a mid-search cancel/deadline trip,
+    /// where the *set* of skipped rules may differ).
     ///
     /// # Panics
     ///
     /// Panics if the e-graph is not clean, or if `directives` does not
     /// have one entry per compiled rule.
-    pub fn search_serial<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        directives: &[RuleDirective],
-        cancel: &CancelToken,
-        deadline: Option<Instant>,
-    ) -> Vec<Option<(Vec<SearchMatches>, Duration)>> {
-        self.serial_counted(egraph, directives, cancel, deadline, &AtomicUsize::new(0))
-    }
-
-    /// [`RuleSetProgram::search_serial`], adding to `exhausted` the
-    /// walks that hit [`MATCH_WORK_BUDGET`]: one per `(branch, class)`
-    /// shared walk and one per `(rule, class)` solo re-run.
-    fn serial_counted<N: Analysis<L>>(
-        &self,
-        egraph: &EGraph<L, N>,
-        directives: &[RuleDirective],
-        cancel: &CancelToken,
-        deadline: Option<Instant>,
-        exhausted: &AtomicUsize,
-    ) -> Vec<Option<(Vec<SearchMatches>, Duration)>> {
-        assert!(
-            egraph.is_clean(),
-            "search requires a clean (rebuilt) e-graph"
-        );
-        assert_eq!(
-            directives.len(),
-            self.programs.len(),
-            "one directive per compiled rule"
-        );
-        let ground = self.resolve_shared_ground(egraph);
-        let mut slots: Vec<Option<(Vec<SearchMatches>, Duration)>> = Vec::new();
-        slots.resize_with(self.programs.len(), || None);
-        for b in 0..self.branches.len() {
-            if cancel.is_cancelled() || past(deadline) {
-                break;
-            }
-            let Some((results, elapsed)) =
-                self.search_branch(egraph, b, directives, &ground, cancel, deadline, exhausted)
-            else {
-                break;
-            };
-            fill_slots(&mut slots, directives, results, elapsed);
-        }
-        slots
-    }
-
-    /// Like [`RuleSetProgram::search_serial`], fanning the branches
-    /// out over `threads` scoped workers (work stealing — branch costs
-    /// vary by orders of magnitude). Branches own disjoint rule sets
-    /// and the per-branch work is identical to serial, so the slots
-    /// are byte-identical at any thread count (short of a mid-search
-    /// cancel/deadline trip, where the *set* of skipped rules may
-    /// differ — same as the per-rule parallel search).
     pub fn search<N>(
         &self,
         egraph: &EGraph<L, N>,
@@ -1093,8 +1046,9 @@ impl<L: Language> RuleSetProgram<L> {
         self.search_counted(egraph, directives, cancel, deadline, threads, &exhausted)
     }
 
-    /// [`RuleSetProgram::search`], counting budget-exhausted walks in
-    /// `exhausted` (see [`RuleSetProgram::search_serial`]).
+    /// [`RuleSetProgram::search`], adding to `exhausted` the walks that
+    /// hit [`MATCH_WORK_BUDGET`]: one per `(branch, class)` shared walk
+    /// and one per `(rule, class)` solo re-run.
     pub(crate) fn search_counted<N>(
         &self,
         egraph: &EGraph<L, N>,
@@ -1110,9 +1064,6 @@ impl<L: Language> RuleSetProgram<L> {
         N: Analysis<L> + Sync,
         N::Data: Sync,
     {
-        if threads <= 1 || self.branches.len() <= 1 {
-            return self.serial_counted(egraph, directives, cancel, deadline, exhausted);
-        }
         assert!(
             egraph.is_clean(),
             "search requires a clean (rebuilt) e-graph"
@@ -1125,50 +1076,13 @@ impl<L: Language> RuleSetProgram<L> {
         let ground = self.resolve_shared_ground(egraph);
         let mut slots: Vec<Option<(Vec<SearchMatches>, Duration)>> = Vec::new();
         slots.resize_with(self.programs.len(), || None);
-        let next = AtomicUsize::new(0);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..threads.min(self.branches.len()))
-                .map(|_| {
-                    let (next, ground) = (&next, &ground);
-                    scope.spawn(move || {
-                        let mut done = Vec::new();
-                        loop {
-                            let b = next.fetch_add(1, Ordering::Relaxed);
-                            if b >= self.branches.len() {
-                                break;
-                            }
-                            if cancel.is_cancelled() || past(deadline) {
-                                break;
-                            }
-                            match self.search_branch(
-                                egraph, b, directives, ground, cancel, deadline, exhausted,
-                            ) {
-                                Some(r) => done.push(r),
-                                None => break,
-                            }
-                        }
-                        done
-                    })
-                })
-                .collect();
-            // Join *every* worker before reacting to any panic (see
-            // the runner's parallel search for why: a second panic
-            // during unwind would abort the process).
-            let mut panicked = None;
-            for handle in handles {
-                match handle.join() {
-                    Ok(done) => {
-                        for (results, elapsed) in done {
-                            fill_slots(&mut slots, directives, results, elapsed);
-                        }
-                    }
-                    Err(payload) => panicked = panicked.or(Some(payload)),
-                }
-            }
-            if let Some(payload) = panicked {
-                std::panic::resume_unwind(payload);
-            }
-        });
+        fan_out(
+            self.branches.len(),
+            threads,
+            || cancel.is_cancelled() || past(deadline),
+            |b| self.search_branch(egraph, b, directives, &ground, cancel, deadline, exhausted),
+            |(results, elapsed)| fill_slots(&mut slots, directives, results, elapsed),
+        );
         slots
     }
 
@@ -1403,8 +1317,68 @@ impl<L: Language> RuleSetProgram<L> {
     }
 }
 
-pub(crate) fn past(deadline: Option<Instant>) -> bool {
+fn past(deadline: Option<Instant>) -> bool {
     deadline.is_some_and(|d| Instant::now() > d)
+}
+
+/// Runs `work` on the items `0..n`, over `threads` scoped workers that
+/// claim the next index from a shared counter (work stealing: item
+/// costs vary by orders of magnitude), or on the calling thread when
+/// `threads <= 1`. A worker stops claiming once `stop()` holds or
+/// `work` returns `None` (cut short). Completed results are handed to
+/// `done` on the calling thread.
+///
+/// A worker's panic is re-raised with its original payload, but only
+/// after *every* worker was joined and the others' results were
+/// handed over: the layer above (the service's per-job
+/// `catch_unwind`) turns it into a typed outcome.
+fn fan_out<T: Send>(
+    n: usize,
+    threads: usize,
+    stop: impl Fn() -> bool + Sync,
+    work: impl Fn(usize) -> Option<T> + Sync,
+    mut done: impl FnMut(T),
+) {
+    if threads <= 1 || n <= 1 {
+        for i in 0..n {
+            if stop() {
+                break;
+            }
+            let Some(result) = work(i) else { break };
+            done(result);
+        }
+        return;
+    }
+    let next = AtomicUsize::new(0);
+    std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads.min(n))
+            .map(|_| {
+                let (next, stop, work) = (&next, &stop, &work);
+                scope.spawn(move || {
+                    let mut results = Vec::new();
+                    loop {
+                        let i = next.fetch_add(1, Ordering::Relaxed);
+                        if i >= n || stop() {
+                            break;
+                        }
+                        let Some(result) = work(i) else { break };
+                        results.push(result);
+                    }
+                    results
+                })
+            })
+            .collect();
+        let mut panicked = None;
+        for handle in handles {
+            match handle.join() {
+                Ok(results) => results.into_iter().for_each(&mut done),
+                Err(payload) => panicked = panicked.or(Some(payload)),
+            }
+        }
+        if let Some(payload) = panicked {
+            std::panic::resume_unwind(payload);
+        }
+    });
 }
 
 /// Partitions a sibling set into execution groups: non-`Bind` children
@@ -2180,22 +2154,21 @@ mod tests {
 
     #[test]
     fn budget_exhaustions_are_counted_per_walk() {
-        use crate::{make_backend, SearchBackendKind};
         let (eg, explosive) = explosive_workload(2, 400);
         let cheap = pat("(g ?a ?b)");
-        let directives = [RuleDirective::Limit(usize::MAX); 2];
-        let count = |kind| {
-            make_backend::<SymbolLang, ()>(kind, vec![&explosive, &cheap])
-                .search(&eg, &directives, &CancelToken::new(), None, 1)
-                .budget_exhausted
-        };
         // One per (rule, class) run of the explosive probe.
-        assert_eq!(count(SearchBackendKind::PerPatternVm), 2);
+        let solo = AtomicUsize::new(0);
+        for p in [&explosive, &cheap] {
+            p.search_counted(&eg, usize::MAX, &CancelToken::new(), &solo);
+        }
+        assert_eq!(solo.into_inner(), 2);
         // One per (branch, class) shared walk, plus the probe's solo
         // re-run of each class.
-        assert_eq!(count(SearchBackendKind::SharedTrie), 4);
-        // The join finds no witness, so the VM never runs.
-        assert_eq!(count(SearchBackendKind::Relational), 0);
+        let prog = RuleSetProgram::compile(&[&explosive, &cheap]);
+        let shared = AtomicUsize::new(0);
+        let directives = [RuleDirective::Limit(usize::MAX); 2];
+        prog.search_counted(&eg, &directives, &CancelToken::new(), None, 1, &shared);
+        assert_eq!(shared.into_inner(), 4);
     }
 
     #[test]
@@ -2204,7 +2177,7 @@ mod tests {
         let cheap = pat("(g ?a ?b)");
         let prog = RuleSetProgram::compile(&[&explosive, &cheap]);
         let directives = [RuleDirective::Skip, RuleDirective::Limit(usize::MAX)];
-        let slots = prog.search_serial(&eg, &directives, &CancelToken::new(), None);
+        let slots = prog.search(&eg, &directives, &CancelToken::new(), None, 1);
         let (skipped, skipped_time) = slots[0].as_ref().unwrap();
         assert!(skipped.is_empty(), "a Skip rule yields no matches");
         assert_eq!(*skipped_time, std::time::Duration::ZERO);
@@ -2224,11 +2197,12 @@ mod tests {
         let p = pat("(g ?x ?y)");
         let prog = RuleSetProgram::compile(&[&p]);
         for limit in [0usize, 3, 9, 100] {
-            let slots = prog.search_serial(
+            let slots = prog.search(
                 &eg,
                 &[RuleDirective::Limit(limit)],
                 &CancelToken::new(),
                 None,
+                1,
             );
             let (matches, _) = slots[0].as_ref().unwrap();
             assert_eq!(
@@ -2312,13 +2286,59 @@ mod tests {
         // instant is an expired deadline by the next check.
         let deadline = Instant::now();
         std::thread::sleep(Duration::from_millis(1));
-        let slots = prog.search_serial(
+        let slots = prog.search(
             &eg,
             &[RuleDirective::Limit(usize::MAX)],
             &CancelToken::new(),
             Some(deadline),
+            1,
         );
         assert!(slots.iter().all(Option::is_none));
+    }
+
+    #[test]
+    fn panicking_search_worker_propagates_its_payload_cleanly() {
+        // The fan-out must join *every* worker and hand over the
+        // others' results before re-raising one payload, unchanged.
+        // Item 0 is every claimant's first item, so all other items
+        // complete on the surviving workers; re-raising on the first
+        // failed join would drop the results of workers joined later.
+        let n = 64;
+        for threads in [1, 4] {
+            for _ in 0..20 {
+                let mut seen = Vec::new();
+                let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    fan_out(
+                        n,
+                        threads,
+                        || false,
+                        |i| {
+                            if i == 0 {
+                                panic!("branch worker exploded on purpose");
+                            }
+                            Some(i)
+                        },
+                        |i| seen.push(i),
+                    )
+                }));
+                let payload = result.expect_err("the worker panic must propagate");
+                let message = payload
+                    .downcast_ref::<&str>()
+                    .copied()
+                    .expect("payload should be the original &str");
+                assert_eq!(
+                    message, "branch worker exploded on purpose",
+                    "threads={threads}"
+                );
+                seen.sort_unstable();
+                let expected: Vec<usize> = if threads > 1 {
+                    (1..n).collect()
+                } else {
+                    Vec::new()
+                };
+                assert_eq!(seen, expected, "threads={threads}");
+            }
+        }
     }
 
     #[test]

@@ -373,10 +373,8 @@ impl<L: Language> Pattern<L> {
     }
 
     /// Runs the compiled program on one candidate class and packages
-    /// surviving matches (canonicalized, sorted, deduplicated). Shared
-    /// with the relational backend, whose per-class confirmation step
-    /// must reproduce the per-pattern truncation byte for byte.
-    pub(crate) fn run_vm_on_class<N: Analysis<L>>(
+    /// surviving matches (canonicalized, sorted, deduplicated).
+    fn run_vm_on_class<N: Analysis<L>>(
         &self,
         egraph: &EGraph<L, N>,
         eclass: Id,

@@ -13,7 +13,7 @@ use std::time::{Duration, Instant};
 
 use boole::json::{Json, ToJson};
 use boole::telemetry::{CacheTier, EventKind, TelemetrySink};
-use boole::{BoolE, CancelToken, PhaseEvent, SearchBackendKind};
+use boole::{BoolE, CancelToken, PhaseEvent};
 use egraph::hash::FxHashMap;
 
 use crate::cache::{CacheKey, CacheStats, ResultCache};
@@ -102,13 +102,6 @@ pub struct ServiceConfig {
     /// Results are byte-identical at any setting, so this never
     /// affects cache keys or reproducibility.
     pub search_threads: Option<usize>,
-    /// When set, every accepted job's saturation search runs on this
-    /// backend, overriding whatever the spec's params carry — the
-    /// operator-policy companion to [`ServiceConfig::search_threads`].
-    /// All backends produce byte-identical results, so this never
-    /// affects cache keys or reproducibility. `None` (the default)
-    /// leaves each spec's own `SaturateParams.search_backend` alone.
-    pub search_backend: Option<SearchBackendKind>,
     /// Overload behavior of [`Service::submit`]; the default blocks.
     pub shed_policy: ShedPolicy,
     /// Retry budget for transiently-failing jobs (I/O errors loading a
@@ -139,7 +132,6 @@ impl Default for ServiceConfig {
             cache_dir: None,
             telemetry: None,
             search_threads: None,
-            search_backend: None,
             shed_policy: ShedPolicy::Block,
             max_retries: 2,
             retry_base: Duration::from_millis(25),
@@ -179,13 +171,6 @@ impl ServiceConfig {
     /// [`ServiceConfig::search_threads`].
     pub fn with_search_threads(mut self, threads: usize) -> Self {
         self.search_threads = Some(threads);
-        self
-    }
-
-    /// Runs every job's saturation search on `backend`. See
-    /// [`ServiceConfig::search_backend`].
-    pub fn with_search_backend(mut self, backend: SearchBackendKind) -> Self {
-        self.search_backend = Some(backend);
         self
     }
 
@@ -581,7 +566,6 @@ pub struct Service {
     watchdog: Option<JoinHandle<()>>,
     next_id: AtomicU64,
     search_threads: Option<usize>,
-    search_backend: Option<SearchBackendKind>,
     shed_policy: ShedPolicy,
 }
 
@@ -647,7 +631,6 @@ impl Service {
             watchdog: Some(watchdog),
             next_id: AtomicU64::new(1),
             search_threads: config.search_threads,
-            search_backend: config.search_backend,
             shed_policy: config.shed_policy,
         }
     }
@@ -661,10 +644,6 @@ impl Service {
         spec.params = std::mem::take(&mut spec.params).with_cancel_token(cancel.clone());
         if let Some(threads) = self.search_threads {
             spec.params.saturate.search_threads = threads;
-        }
-        if let Some(backend) = self.search_backend {
-            spec.params.saturate =
-                std::mem::take(&mut spec.params.saturate).with_search_backend(backend);
         }
         Arc::new(JobState {
             id,
@@ -1247,7 +1226,6 @@ fn execute_job(
                 nodes,
                 classes,
                 matches,
-                relation_build,
             } => {
                 telemetry.events.publish(EventKind::Iteration {
                     job: job_id,
@@ -1256,7 +1234,6 @@ fn execute_job(
                     nodes: *nodes,
                     classes: *classes,
                     matches: *matches,
-                    relation_build: *relation_build,
                 });
                 telemetry.metrics.gauge("egraph_nodes").set(*nodes as i64);
                 telemetry
@@ -1326,8 +1303,7 @@ fn execute_job(
     };
     let summary = Arc::new(ResultSummary::from(&result));
     if let Some(telemetry) = telemetry {
-        // Per-rule search-time profile into the histogram the
-        // relational-matching work will be measured against.
+        // Per-rule search-time profile into its histogram.
         let hist = telemetry.metrics.histogram("rule_search_ms");
         for rule in &summary.saturation.rules {
             hist.observe(rule.search_time);

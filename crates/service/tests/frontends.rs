@@ -68,19 +68,20 @@ fn cross_format_submissions_share_one_cache_entry() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A hostile AIGER header (four billion outputs in 32 bytes) fails
-/// its job with the parser's typed error instead of aborting the
-/// process on a huge allocation.
+/// Hostile AIGER headers (four billion outputs, or two billion binary
+/// inputs, in 32 bytes) fail their jobs with the parser's typed error
+/// instead of aborting the process on a huge allocation.
 #[test]
 fn hostile_aiger_header_fails_the_job() {
-    let path =
-        PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../aig/tests/data/hostile_header.aag");
+    let data = PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../aig/tests/data");
     let service = Service::new(ServiceConfig {
         num_workers: 1,
         ..ServiceConfig::default()
     });
-    let result = service.submit(JobSpec::file(&path)).wait();
-    assert_eq!(result.status(), JobStatus::Failed);
+    for file in ["hostile_header.aag", "hostile_inputs.aig"] {
+        let result = service.submit(JobSpec::file(data.join(file))).wait();
+        assert_eq!(result.status(), JobStatus::Failed, "{file}");
+    }
     let stats = service.shutdown();
     assert_eq!(stats.pipelines_run, 0);
 }
