@@ -31,6 +31,22 @@ fn rq1_pre_mapping_boole_hits_upper_bound() {
 }
 
 #[test]
+fn dch_multipliers_keep_their_full_adders() {
+    // Optimized netlists are where the extraction fixpoint proposes
+    // cycle-closing switches; refusing them must not cost FAs.
+    let engine = BoolE::new(BooleParams::small().without_time_limit());
+    for (family, floor) in [(Family::Csa, 16), (Family::Booth, 15)] {
+        let result = engine.run(&prepare(family, 6, Prep::Dch));
+        assert!(
+            result.exact_fa_count() >= floor,
+            "{} 6 dch: {} exact FAs, expected at least {floor}",
+            family.name(),
+            result.exact_fa_count()
+        );
+    }
+}
+
+#[test]
 fn fig4_ordering_post_mapping() {
     // The paper's post-mapping ordering: BoolE >= ABC (NPN), and BoolE
     // strictly ahead of ABC on exact FAs.

@@ -7,25 +7,22 @@
 //! `fst`, `snd`, and `fa` are selected atomically because the
 //! projections' only child is the FA tuple class itself.
 //!
-//! Two selections are computed:
+//! The selection is one improving worklist fixpoint (Algorithm 2) and
+//! is acyclic at all times, so the reconstructor can follow it
+//! directly. A class may later switch to a different, strictly better
+//! e-node; that switch is refused when the chosen sub-DAG below the
+//! new node already reaches the class, since adopting it would close
+//! a cycle. Only switches need the check:
 //!
-//! * the **optimal** selection — an improving worklist fixpoint
-//!   (Algorithm 2). Its cost map can, in rare corner cases, become
-//!   mutually stale and cyclic (a child switching to a different,
-//!   larger FA set whose union with siblings shrinks).
-//! * a **safe** selection — rank-constrained (children must be
-//!   selected strictly earlier), acyclic by construction.
-//!
-//! The reconstructor follows the optimal selection and downgrades an
-//! e-class to its safe choice only when it actually detects a cycle,
-//! so the quality of the optimal selection is kept wherever possible.
+//! * a first adoption cannot close a cycle, because choices only point
+//!   at classes that already have one;
+//! * re-adopting the same e-node with a larger FA set adds no edge.
 //!
 //! Following the paper's memory optimization, cost sets store FA ids
 //! as `u16` when the e-graph has fewer than 65 536 classes and `u32`
 //! otherwise.
 
-use std::collections::{HashMap, HashSet};
-
+use egraph::hash::{FxHashMap, FxHashSet};
 use egraph::{EGraph, Id, Language};
 
 use crate::BoolLang;
@@ -127,31 +124,28 @@ pub struct DagChoice {
     pub size: u64,
 }
 
-/// The result of DAG extraction: one choice per reachable e-class in
-/// each of the optimal and safe selections.
+/// The result of DAG extraction: one acyclic choice per reachable
+/// e-class.
 #[derive(Debug)]
 pub struct DagExtraction {
-    choices: HashMap<Id, DagChoice>,
-    safe: HashMap<Id, DagChoice>,
+    choices: FxHashMap<Id, DagChoice>,
     /// FA-id → e-class mapping used by the cost sets.
     fa_index: Vec<Id>,
 }
 
 impl DagExtraction {
-    /// The optimal choice for `class`, if it was extractable.
+    /// The choice for `class`, if it was extractable.
     pub fn choice(&self, class: Id) -> Option<&DagChoice> {
         self.choices.get(&class)
     }
 
-    /// The guaranteed-acyclic fallback choice for `class`.
-    pub fn safe_choice(&self, class: Id) -> Option<&DagChoice> {
-        self.safe.get(&class)
-    }
-
-    /// The distinct FA tuple classes used by the optimal extraction of
-    /// `roots` (each counted once — the paper's exact-FA count; the
-    /// reconstructor reports the realized count, which matches except
-    /// when cycle downgrades occurred).
+    /// The distinct FA tuple classes claimed by the cost sets of
+    /// `roots` (each counted once — the paper's exact-FA count). The
+    /// reconstructor reports the realized count, which is smaller only
+    /// when a cost set went stale: a parent keeps its set when a child
+    /// switches to a larger FA set whose union with its siblings would
+    /// be smaller, so the set may name FAs the selection no longer
+    /// reaches.
     pub fn selected_fas(&self, egraph: &EGraph<BoolLang>, roots: &[Id]) -> Vec<Id> {
         let mut merged: Vec<usize> = Vec::new();
         for &root in roots {
@@ -163,7 +157,7 @@ impl DagExtraction {
         merged.into_iter().map(|i| self.fa_index[i]).collect()
     }
 
-    /// Number of e-classes with an optimal choice.
+    /// Number of e-classes with a choice.
     pub fn len(&self) -> usize {
         self.choices.len()
     }
@@ -201,7 +195,7 @@ pub fn extract_dag(egraph: &EGraph<BoolLang>) -> DagExtraction {
     assert!(egraph.is_clean(), "extraction requires a clean e-graph");
     // Index FA tuple classes for compact cost sets.
     let fa_index: Vec<Id> = crate::pair::fa_classes(egraph);
-    let fa_pos: HashMap<Id, usize> = fa_index
+    let fa_pos: FxHashMap<Id, usize> = fa_index
         .iter()
         .enumerate()
         .map(|(i, &id)| (id, i))
@@ -210,8 +204,10 @@ pub fn extract_dag(egraph: &EGraph<BoolLang>) -> DagExtraction {
 
     // Parent index: which classes reference a class as a child
     // (Algorithm 2's `node.parents()`).
-    let mut parents: HashMap<Id, Vec<Id>> = HashMap::new();
+    let mut parents: FxHashMap<Id, Vec<Id>> = FxHashMap::default();
+    let mut id_bound = 0;
     for class in egraph.classes() {
+        id_bound = id_bound.max(class.id.index() + 1);
         for node in class.iter() {
             for &c in node.children() {
                 let entry = parents.entry(egraph.find(c)).or_default();
@@ -227,73 +223,40 @@ pub fn extract_dag(egraph: &EGraph<BoolLang>) -> DagExtraction {
         .map(|class| class.id)
         .collect();
 
-    // Optimal (unconstrained) fixpoint.
-    let mut choices: HashMap<Id, DagChoice> = HashMap::new();
-    drain(
-        egraph,
-        &parents,
-        &fa_pos,
-        small,
-        &mut choices,
-        None,
-        seed.clone(),
-    );
-
-    // Safe (rank-constrained, acyclic) selection.
-    let mut safe: HashMap<Id, DagChoice> = HashMap::new();
-    let mut ranks: HashMap<Id, u32> = HashMap::new();
-    drain(
-        egraph,
-        &parents,
-        &fa_pos,
-        small,
-        &mut safe,
-        Some(&mut ranks),
-        seed,
-    );
-
-    DagExtraction {
-        choices,
-        safe,
-        fa_index,
-    }
+    let choices = drain(egraph, &parents, &fa_pos, small, id_bound, seed);
+    DagExtraction { choices, fa_index }
 }
 
-/// One improving-worklist drain. With `ranks`, selections are
-/// rank-constrained (children strictly earlier), which guarantees
-/// acyclicity at the cost of occasionally missing an adoption.
+/// The improving-worklist drain of Algorithm 2, starting from the leaf
+/// classes in `seed`. The selection stays acyclic throughout: a switch
+/// to a different e-node whose chosen sub-DAG reaches the class is
+/// skipped.
 fn drain(
     egraph: &EGraph<BoolLang>,
-    parents: &HashMap<Id, Vec<Id>>,
-    fa_pos: &HashMap<Id, usize>,
+    parents: &FxHashMap<Id, Vec<Id>>,
+    fa_pos: &FxHashMap<Id, usize>,
     small: bool,
-    choices: &mut HashMap<Id, DagChoice>,
-    mut ranks: Option<&mut HashMap<Id, u32>>,
+    id_bound: usize,
     seed: Vec<Id>,
-) {
-    let mut next_rank: u32 = 0;
+) -> FxHashMap<Id, DagChoice> {
+    let mut choices: FxHashMap<Id, DagChoice> = FxHashMap::default();
+    let mut walk = Walk {
+        seen: vec![0; id_bound],
+        epoch: 0,
+        stack: Vec::new(),
+    };
     let mut queue: std::collections::VecDeque<Id> = seed.into();
-    let mut queued: HashSet<Id> = queue.iter().copied().collect();
+    let mut queued: FxHashSet<Id> = queue.iter().copied().collect();
     while let Some(class_id) = queue.pop_front() {
         queued.remove(&class_id);
         let class = egraph.eclass(class_id);
-        let my_rank = ranks
-            .as_ref()
-            .map(|r| r.get(&class_id).copied().unwrap_or(u32::MAX));
-        let mut best: Option<DagChoice> = choices.get(&class_id).cloned();
-        let mut improved = false;
+        let current = choices.get(&class_id);
+        let mut best: Option<DagChoice> = None;
         for node in class.iter() {
-            // All children must be selected already (and, in ranked
-            // mode, strictly earlier).
+            // All children must be selected already.
             let eligible = node.children().iter().all(|&c| {
                 let c = egraph.find(c);
-                if c == class_id || !choices.contains_key(&c) {
-                    return false;
-                }
-                match (&ranks, my_rank) {
-                    (Some(r), Some(mine)) => r.get(&c).copied().unwrap_or(u32::MAX) < mine,
-                    _ => true,
-                }
+                c != class_id && choices.contains_key(&c)
             });
             if !eligible {
                 continue;
@@ -309,33 +272,30 @@ fn drain(
                 let pos = fa_pos[&egraph.find(class_id)];
                 fas.merge(&FaSet::singleton(pos, small));
             }
-            let better = match &best {
+            let better = match best.as_ref().or(current) {
                 None => true,
                 Some(b) => fas.len() > b.fas.len() || (fas.len() == b.fas.len() && size < b.size),
             };
-            if better {
-                best = Some(DagChoice {
-                    node: node.clone(),
-                    fas,
-                    size,
-                });
-                improved = true;
+            if !better {
+                continue;
             }
+            if current.is_some_and(|c| c.node != *node)
+                && walk.reaches(egraph, &choices, node, class_id)
+            {
+                continue;
+            }
+            best = Some(DagChoice {
+                node: node.clone(),
+                fas,
+                size,
+            });
         }
-        if improved {
-            if let Some(r) = ranks.as_mut() {
-                r.entry(class_id).or_insert_with(|| {
-                    let v = next_rank;
-                    next_rank += 1;
-                    v
-                });
-            }
-            choices.insert(class_id, best.expect("improved implies chosen"));
+        if let Some(best) = best {
+            choices.insert(class_id, best);
             // Cost map update: re-enqueue the parents (Algorithm 2
-            // line 16). FA tuple classes are processed first: they only
-            // need their three inputs, so in ranked mode they are
-            // ranked before the XOR3/MAJ consumer classes that adopt
-            // their fst/snd projections.
+            // line 16). FA tuple classes go first: they only need
+            // their three inputs, and the XOR3/MAJ consumer classes
+            // adopt their fst/snd projections once they have a choice.
             if let Some(ps) = parents.get(&class_id) {
                 for &p in ps {
                     if queued.insert(p) {
@@ -348,6 +308,49 @@ fn drain(
                 }
             }
         }
+    }
+    choices
+}
+
+/// Depth-first walk over the chosen sub-DAG with an epoch-stamped
+/// visited table indexed by class id.
+struct Walk {
+    seen: Vec<u32>,
+    epoch: u32,
+    stack: Vec<Id>,
+}
+
+impl Walk {
+    /// Whether the current selection below `node`'s children reaches
+    /// `target`, i.e. whether `target` adopting `node` would close a
+    /// cycle.
+    fn reaches(
+        &mut self,
+        egraph: &EGraph<BoolLang>,
+        choices: &FxHashMap<Id, DagChoice>,
+        node: &BoolLang,
+        target: Id,
+    ) -> bool {
+        self.epoch += 1;
+        self.stack.clear();
+        self.stack
+            .extend(node.children().iter().map(|&c| egraph.find(c)));
+        while let Some(class) = self.stack.pop() {
+            if class == target {
+                return true;
+            }
+            if std::mem::replace(&mut self.seen[class.index()], self.epoch) == self.epoch {
+                continue;
+            }
+            self.stack.extend(
+                choices[&class]
+                    .node
+                    .children()
+                    .iter()
+                    .map(|&c| egraph.find(c)),
+            );
+        }
+        false
     }
 }
 
@@ -379,11 +382,53 @@ mod tests {
         assert!(matches!(carry_choice.node, BoolLang::Fst(_)));
         let fas = ex.selected_fas(&eg, &[sum, carry]);
         assert_eq!(fas.len(), 1, "shared FA counted once");
-        // The safe selection also adopts the FA here.
-        assert!(matches!(
-            ex.safe_choice(eg.find(sum)).unwrap().node,
-            BoolLang::Snd(_)
-        ));
+    }
+
+    #[test]
+    fn selection_is_acyclic_on_a_saturated_multiplier() {
+        // At small params the fixpoint on this netlist proposes
+        // switches that would close a cycle in the selection.
+        let netlist = aig::opt::dch(&aig::gen::csa_multiplier(6));
+        let params = crate::SaturateParams::small().without_time_limit();
+        let (mut net, _) =
+            crate::saturate::saturate(crate::convert::aig_to_egraph(&netlist), &params);
+        pair_full_adders(&mut net.egraph);
+        let eg = &net.egraph;
+        let ex = extract_dag(eg);
+        assert!(!ex.is_empty());
+        // Depth-first walk of the chosen sub-DAG from every class with
+        // a choice; re-entering a class still on the path is a cycle.
+        #[derive(Clone, Copy, PartialEq)]
+        enum Mark {
+            New,
+            OnPath,
+            Done,
+        }
+        let mut mark: FxHashMap<Id, Mark> = FxHashMap::default();
+        for class in eg.classes() {
+            if ex.choice(class.id).is_none() || mark.contains_key(&class.id) {
+                continue;
+            }
+            let mut stack = vec![(class.id, 0)];
+            mark.insert(class.id, Mark::OnPath);
+            while let Some((id, next)) = stack.pop() {
+                let children = ex.choice(id).unwrap().node.children();
+                let Some(&child) = children.get(next) else {
+                    mark.insert(id, Mark::Done);
+                    continue;
+                };
+                stack.push((id, next + 1));
+                let child = eg.find(child);
+                match mark.get(&child).copied().unwrap_or(Mark::New) {
+                    Mark::OnPath => panic!("selection re-enters e-class {child}"),
+                    Mark::Done => {}
+                    Mark::New => {
+                        mark.insert(child, Mark::OnPath);
+                        stack.push((child, 0));
+                    }
+                }
+            }
+        }
     }
 
     #[test]

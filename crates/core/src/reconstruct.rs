@@ -47,7 +47,6 @@ pub fn reconstruct_aig(
         memo: HashMap::new(),
         fa_memo: HashMap::new(),
         fas: Vec::new(),
-        downgraded: std::collections::HashSet::new(),
     };
     let mut named: Vec<(String, Lit)> = Vec::new();
     for (name, root) in outputs {
@@ -70,9 +69,6 @@ struct Builder<'a> {
     /// FA tuple class -> (sum, carry) literals.
     fa_memo: HashMap<Id, (Lit, Lit)>,
     fas: Vec<RecoveredFa>,
-    /// Classes switched to the safe selection after a cycle was
-    /// detected through their optimal choice.
-    downgraded: std::collections::HashSet<Id>,
 }
 
 /// Work items of the iterative (stack-overflow-free) builder.
@@ -84,63 +80,21 @@ enum Task {
 }
 
 impl Builder<'_> {
-    /// The effective choice for a class: the optimal selection unless
-    /// it was downgraded after a cycle detection.
-    fn effective_choice(&self, class: Id) -> &crate::extract::DagChoice {
-        if self.downgraded.contains(&class) {
-            self.extraction
-                .safe_choice(class)
-                .unwrap_or_else(|| panic!("no safe extraction choice for e-class {class}"))
-        } else {
-            self.extraction
-                .choice(class)
-                .unwrap_or_else(|| panic!("no extraction choice for e-class {class}"))
-        }
+    fn choice(&self, class: Id) -> &crate::extract::DagChoice {
+        self.extraction
+            .choice(class)
+            .unwrap_or_else(|| panic!("no extraction choice for e-class {class}"))
     }
 
     /// Builds the literal of `root`, iteratively (extraction DAGs of
     /// saturated e-graphs can be very deep).
     ///
-    /// If a cyclic selection is detected (possible in the optimal
-    /// selection's rare stale-cost corner cases), the offending class
-    /// is downgraded to the guaranteed-acyclic safe selection and the
-    /// walk restarts; completed work is memoized, so this terminates.
+    /// # Panics
+    ///
+    /// Panics if the walk re-enters a class it is still visiting; the
+    /// extraction's selection is acyclic by construction.
     fn build(&mut self, root: Id) -> Lit {
         let root = self.egraph.find(root);
-        loop {
-            match self.try_build(root) {
-                Ok(lit) => return lit,
-                Err((reentered, on_path)) => {
-                    // Downgrade one class on the cycle to its safe
-                    // choice. Prefer the re-entered class; if it is
-                    // already safe, the cycle must pass through some
-                    // other optimal choice (the safe selection alone is
-                    // acyclic), so pick the smallest such class.
-                    let victim = if !self.downgraded.contains(&reentered)
-                        && self.extraction.safe_choice(reentered).is_some()
-                    {
-                        Some(reentered)
-                    } else {
-                        let mut candidates: Vec<Id> = on_path
-                            .into_iter()
-                            .filter(|c| {
-                                !self.downgraded.contains(c)
-                                    && self.extraction.safe_choice(*c).is_some()
-                            })
-                            .collect();
-                        candidates.sort_unstable();
-                        candidates.first().copied()
-                    };
-                    let victim = victim.unwrap_or_else(|| {
-                        panic!("cannot break extraction cycle at e-class {reentered}")
-                    });
-                    self.downgraded.insert(victim);
-                }
-            }
-        }
-    }
-
-    fn try_build(&mut self, root: Id) -> Result<Lit, (Id, Vec<Id>)> {
         let mut stack = vec![Task::Visit(root)];
         let mut visiting: std::collections::HashSet<Id> = std::collections::HashSet::new();
         while let Some(task) = stack.pop() {
@@ -150,11 +104,11 @@ impl Builder<'_> {
                     if self.memo.contains_key(&class) {
                         continue;
                     }
-                    if !visiting.insert(class) {
-                        let path: Vec<Id> = visiting.iter().copied().collect();
-                        return Err((class, path));
-                    }
-                    let choice = self.effective_choice(class);
+                    assert!(
+                        visiting.insert(class),
+                        "extraction cycle through e-class {class}"
+                    );
+                    let choice = self.choice(class);
                     stack.push(Task::Emit(class));
                     match &choice.node {
                         BoolLang::Fst(fa) | BoolLang::Snd(fa) => {
@@ -173,7 +127,7 @@ impl Builder<'_> {
                     if self.memo.contains_key(&class) {
                         continue;
                     }
-                    let choice = self.effective_choice(class).clone();
+                    let choice = self.choice(class).clone();
                     let get = |b: &Self, id: Id| -> Lit { b.memo[&b.egraph.find(id)] };
                     let lit = match &choice.node {
                         BoolLang::Const(b) => {
@@ -218,7 +172,7 @@ impl Builder<'_> {
                     if self.fa_memo.contains_key(&fa_class) {
                         continue;
                     }
-                    let choice = self.effective_choice(fa_class);
+                    let choice = self.choice(fa_class);
                     let BoolLang::Fa([a, b, c]) = choice.node else {
                         panic!("fa class must select the fa node, got {:?}", choice.node)
                     };
@@ -232,7 +186,7 @@ impl Builder<'_> {
                     if self.fa_memo.contains_key(&fa_class) {
                         continue;
                     }
-                    let choice = self.effective_choice(fa_class).clone();
+                    let choice = self.choice(fa_class).clone();
                     let BoolLang::Fa([a, b, c]) = choice.node else {
                         unreachable!("checked at VisitFa")
                     };
@@ -249,7 +203,7 @@ impl Builder<'_> {
                 }
             }
         }
-        Ok(self.memo[&root])
+        self.memo[&root]
     }
 
     fn input_lit(&self, sym: Symbol) -> Lit {

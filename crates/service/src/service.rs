@@ -659,8 +659,23 @@ impl Service {
         })
     }
 
-    /// Accounts an accepted job: deadline registration + counters +
-    /// the `job_submitted` event.
+    /// Counts a submitted job and publishes its `job_submitted` event.
+    fn announce(&self, state: &JobState) {
+        self.shared
+            .counters
+            .submitted
+            .fetch_add(1, Ordering::Relaxed);
+        if let Some(telemetry) = &self.shared.telemetry {
+            telemetry.events.publish(EventKind::JobSubmitted {
+                job: state.id,
+                label: state.label.clone(),
+            });
+            telemetry.metrics.counter("jobs_submitted").inc();
+        }
+    }
+
+    /// Accounts an accepted, announced job: deadline registration and
+    /// the queue-depth gauge.
     fn register(&self, deadline: Option<Duration>, state: &Arc<JobState>) {
         if let Some(deadline) = deadline {
             // Poison recovery: the heap is valid after any partial
@@ -673,16 +688,7 @@ impl Service {
             });
             self.shared.watchdog_wake.notify_one();
         }
-        self.shared
-            .counters
-            .submitted
-            .fetch_add(1, Ordering::Relaxed);
         if let Some(telemetry) = &self.shared.telemetry {
-            telemetry.events.publish(EventKind::JobSubmitted {
-                job: state.id,
-                label: state.label.clone(),
-            });
-            telemetry.metrics.counter("jobs_submitted").inc();
             telemetry.metrics.gauge("queue_depth").add(1);
         }
     }
@@ -707,14 +713,15 @@ impl Service {
     fn submit_with_policy(&self, mut spec: JobSpec, policy: ShedPolicy) -> JobHandle {
         let state = self.make_state(&mut spec);
         let deadline = spec.deadline;
-        match faults::check(self.shared.faults.as_ref(), site::QUEUE_ACCEPT) {
-            Some(FaultAction::Panic) => {
-                panic!("{}", FaultRegistry::injected(site::QUEUE_ACCEPT));
-            }
-            Some(FaultAction::Error | FaultAction::Corrupt) => {
-                return self.reject(&state, RejectReason::Injected);
-            }
-            None => {}
+        let fault = faults::check(self.shared.faults.as_ref(), site::QUEUE_ACCEPT);
+        if fault == Some(FaultAction::Panic) {
+            panic!("{}", FaultRegistry::injected(site::QUEUE_ACCEPT));
+        }
+        // Announce before queueing: a worker may start the job (and
+        // publish `job_started`) as soon as it is sent.
+        self.announce(&state);
+        if fault.is_some() {
+            return self.reject(&state, RejectReason::Injected);
         }
         let sender = self.sender.as_ref().expect("service alive");
         match policy {
@@ -762,24 +769,15 @@ impl Service {
         JobHandle { state }
     }
 
-    /// Resolves a job as terminally rejected without queueing it.
-    /// Rejected jobs still count as submitted (so the accounting
-    /// invariant `submitted == terminal outcomes` holds) and emit the
-    /// usual submitted/done event pair, but never touch the deadline
-    /// heap or the queue-depth gauge.
+    /// Resolves an announced job as terminally rejected without
+    /// queueing it. Rejected jobs still count as submitted (so the
+    /// accounting invariant `submitted == terminal outcomes` holds) and
+    /// emit the usual submitted/done event pair, but never touch the
+    /// deadline heap or the queue-depth gauge.
     fn reject(&self, state: &Arc<JobState>, reason: RejectReason) -> JobHandle {
-        self.shared
-            .counters
-            .submitted
-            .fetch_add(1, Ordering::Relaxed);
         self.shared.counters.shed.fetch_add(1, Ordering::Relaxed);
         let outcome = state.finalize(JobVerdict::Rejected { reason }, false);
         if let Some(telemetry) = &self.shared.telemetry {
-            telemetry.events.publish(EventKind::JobSubmitted {
-                job: state.id,
-                label: state.label.clone(),
-            });
-            telemetry.metrics.counter("jobs_submitted").inc();
             publish_job_done(telemetry, &outcome);
         }
         JobHandle {
@@ -814,6 +812,7 @@ impl Service {
             .try_send((spec, Arc::clone(&state)))
         {
             Ok(()) => {
+                self.announce(&state);
                 self.register(deadline, &state);
                 Ok(JobHandle { state })
             }

@@ -36,9 +36,11 @@ use crate::fingerprint::Fingerprint;
 use crate::job::ResultSummary;
 
 /// Version stamp embedded in every record. Bump on any change to the
-/// record envelope or the canonical [`ResultSummary`] document; old
-/// files then read as misses and are rewritten on the next run.
-pub const STORE_FORMAT_VERSION: i64 = 1;
+/// record envelope or the canonical [`ResultSummary`] document, and
+/// whenever the pipeline's result for the same key changes (records are
+/// keyed by netlist and params fingerprints only); old files then read
+/// as misses and are rewritten on the next run.
+pub const STORE_FORMAT_VERSION: i64 = 2;
 
 /// Counters describing disk-tier effectiveness.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -338,7 +340,10 @@ mod tests {
             String::new(),                             // empty file
             "not json at all".to_owned(),              // unparseable
             pristine[..pristine.len() / 2].to_owned(), // truncated mid-write
-            pristine.replace("\"format_version\":1", "\"format_version\":999"),
+            pristine.replace(
+                &format!("\"format_version\":{STORE_FORMAT_VERSION}"),
+                "\"format_version\":999",
+            ),
             pristine.replace("\"exact_fa_count\"", "\"exact_fa_cnt\""),
         ];
         for (i, corrupt) in corruptions.iter().enumerate() {
