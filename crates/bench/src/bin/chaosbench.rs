@@ -27,7 +27,7 @@ use boole::BooleParams;
 use boole_service::faults::site;
 use boole_service::{
     FaultAction, FaultPolicy, FaultRegistry, GenSpec, JobHandle, JobSpec, Service, ServiceConfig,
-    ServiceStats, ShedPolicy, Trigger,
+    ServiceStats, Trigger,
 };
 
 /// Local splitmix64 (the registry's own stream stays private): one
@@ -93,16 +93,10 @@ struct RoundReport {
 fn chaos_round(seed: u64, round: u64, jobs: usize) -> RoundReport {
     let mut rng = seed ^ round.wrapping_mul(0x517c_c1b7_2722_0a95);
     let faults = random_faults(&mut rng);
-    let shed_policy = match below(&mut rng, 3) {
-        0 => ShedPolicy::Block,
-        1 => ShedPolicy::Shed,
-        _ => ShedPolicy::Timeout(Duration::from_millis(2)),
-    };
     let cache_dir = (below(&mut rng, 2) == 0).then(|| temp_dir(splitmix64(&mut rng)));
     let mut config = ServiceConfig::default()
         .with_workers(1 + below(&mut rng, 3) as usize)
         .with_queue_capacity(1 + below(&mut rng, 4) as usize)
-        .with_shed_policy(shed_policy)
         .with_max_retries(below(&mut rng, 3) as u32)
         .with_retry_base(Duration::from_millis(1))
         .with_faults(Arc::clone(&faults));

@@ -1,7 +1,7 @@
 //! Throughput benchmark for the batch-reasoning service: a mixed
 //! workload of generated and technology-mapped multipliers, run
-//! serially and on worker pools of increasing width, plus a cache-hit
-//! pass over the same batch.
+//! serially (one worker, cache off) and on worker pools of increasing
+//! width, plus a cache-hit pass over the same batch.
 //!
 //! ```text
 //! cargo run --release -p boole-bench --bin service_throughput -- \
@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use boole::json::{Json, ToJson};
 use boole::BooleParams;
-use boole_service::{run_spec_serial, GenSpec, JobSpec, Service, ServiceConfig};
+use boole_service::{GenSpec, JobSpec, Service, ServiceConfig};
 
 /// A deterministic mixed workload of *distinct* jobs (distinct
 /// structural fingerprints, so the in-batch cache cannot collapse
@@ -42,10 +42,12 @@ fn main() {
     let max_workers = boole_bench::arg_usize("--max-workers", 8);
     let as_json = boole_bench::arg_flag("--json");
 
-    // Serial reference.
+    // Serial reference: one worker, every pipeline run from scratch.
+    let service = Service::new(ServiceConfig::default().with_workers(1));
     let serial_start = Instant::now();
-    let serial: Vec<_> = workload(jobs).into_iter().map(run_spec_serial).collect();
+    let serial = service.run_batch(workload(jobs).into_iter().map(JobSpec::without_cache));
     let serial_time = serial_start.elapsed();
+    service.shutdown();
     let total_fas: usize = serial
         .iter()
         .filter_map(|o| o.summary().map(|s| s.exact_fa_count))
@@ -80,7 +82,6 @@ fn main() {
             cache_capacity: jobs.max(1),
             cache_dir: None,
             telemetry: None,
-            search_threads: None,
             ..ServiceConfig::default()
         });
         let pool_start = Instant::now();

@@ -3,7 +3,6 @@
 //! reconstruction.
 
 use std::fmt;
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -153,15 +152,8 @@ impl BooleParams {
         self
     }
 
-    /// Attaches a shared cancellation flag, plumbed through to both
-    /// saturation phases and checked between pipeline phases.
-    pub fn with_cancellation(mut self, flag: Arc<AtomicBool>) -> Self {
-        self.saturate.cancel = CancelToken::from_flag(flag);
-        self
-    }
-
-    /// Attaches a [`CancelToken`] (equivalent to
-    /// [`BooleParams::with_cancellation`]).
+    /// Attaches a [`CancelToken`], plumbed through to both saturation
+    /// phases and checked between pipeline phases.
     pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
         self.saturate.cancel = token;
         self

@@ -2,8 +2,7 @@
 //! statistics.
 
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize};
-use std::sync::Arc;
+use std::sync::atomic::AtomicUsize;
 use std::time::{Duration, Instant};
 
 use crate::hash::FxHashMap;
@@ -396,16 +395,10 @@ impl<L: Language, N: Analysis<L>> Runner<L, N> {
         self
     }
 
-    /// Attaches a shared cancellation flag. When another thread sets it,
+    /// Attaches a [`CancelToken`]. When any clone of it is cancelled,
     /// the run stops with [`StopReason::Cancelled`] at the next check
     /// point (iteration boundary, or mid-search between trie branches
     /// and classes).
-    pub fn with_cancellation(mut self, flag: Arc<AtomicBool>) -> Self {
-        self.cancel = CancelToken::from_flag(flag);
-        self
-    }
-
-    /// Attaches a [`CancelToken`] (equivalent to [`Runner::with_cancellation`]).
     pub fn with_cancel_token(mut self, token: CancelToken) -> Self {
         self.cancel = token;
         self
@@ -651,7 +644,7 @@ mod tests {
         let expr = "(+ a (+ b (+ c d)))".parse().unwrap();
         let runner = Runner::default()
             .with_expr(&expr)
-            .with_cancellation(token.flag())
+            .with_cancel_token(token)
             .run(&math_rules());
         assert_eq!(runner.stop_reason, Some(StopReason::Cancelled));
         assert!(runner.iterations.is_empty());
@@ -771,7 +764,7 @@ mod tests {
             })
             .with_iter_limit(50)
             .with_node_limit(1_000_000)
-            .with_cancellation(token.flag())
+            .with_cancel_token(token)
             .with_search_threads(4)
             .run(&math_rules());
         assert_eq!(runner.stop_reason, Some(StopReason::Cancelled));

@@ -61,8 +61,8 @@ pub mod site {
     /// treated as `error`; `panic` panics inside the worker's
     /// panic-isolation boundary.
     pub const WORKER_PIPELINE: &str = "worker.pipeline";
-    /// Job admission (`submit`/`try_submit`/`submit_timeout`).
-    /// `error`/`corrupt` reject the job as shed
+    /// Job admission in [`Service::submit`](crate::Service::submit).
+    /// `error`/`corrupt` reject the job with a terminal handle
     /// ([`RejectReason::Injected`]); `panic` unwinds the submitter.
     ///
     /// [`RejectReason::Injected`]: crate::RejectReason::Injected
@@ -87,7 +87,7 @@ pub mod site {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultAction {
     /// Return the site's typed error (an injected I/O failure, a
-    /// transient pipeline failure, a shed rejection — whatever the
+    /// transient pipeline failure, an admission rejection — whatever the
     /// site's real failure mode is).
     Error,
     /// Panic at the site, exercising the panic-isolation boundaries.

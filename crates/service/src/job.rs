@@ -18,8 +18,6 @@ pub enum JobSource {
     /// parsed structure feeds the same structural fingerprint, so
     /// isomorphic netlists share a cache entry across formats.
     File(PathBuf),
-    /// ASCII AIGER text.
-    AagText(String),
     /// A generated arithmetic benchmark.
     Generate(GenSpec),
 }
@@ -160,12 +158,6 @@ impl JobSpec {
         }
     }
 
-    /// A job over an `.aag` file (alias of [`JobSpec::file`], kept for
-    /// the original AIGER-only API).
-    pub fn aag_file(path: impl Into<PathBuf>) -> Self {
-        Self::file(path)
-    }
-
     /// A job over a generated benchmark.
     pub fn generated(spec: GenSpec) -> Self {
         JobSpec {
@@ -214,8 +206,8 @@ pub enum JobStatus {
     /// The pipeline panicked; the panic was isolated to this job (the
     /// worker thread survived).
     Panicked,
-    /// Shed at admission: the service refused to queue the job (full
-    /// queue under a shedding policy, admission timeout, shutdown).
+    /// Refused at admission: the service never queued the job
+    /// (shutdown in progress, or an injected admission fault).
     Rejected,
 }
 
@@ -280,8 +272,8 @@ impl From<&BooleResult> for ResultSummary {
 }
 
 /// Canonical (deterministic) JSON: every field is a pure function of
-/// the netlist and parameters, so concurrent and serial executions of
-/// the same batch serialize byte-identically. Wall-clock timings are
+/// the netlist and parameters, so a batch on N workers and the same
+/// batch on one worker serialize byte-identically. Wall-clock timings are
 /// exposed separately via [`JobOutcome::timing_json`].
 impl ToJson for ResultSummary {
     fn to_json(&self) -> Json {
@@ -352,10 +344,6 @@ impl FromJson for ResultSummary {
 /// [`JobVerdict::Rejected`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RejectReason {
-    /// The bounded queue was at capacity under a shedding policy.
-    QueueFull,
-    /// The queue stayed full for the whole admission timeout.
-    Timeout,
     /// The worker pool is shutting down; the job can never run.
     ShuttingDown,
     /// The `queue.accept` failpoint fired (chaos testing).
@@ -366,8 +354,6 @@ impl RejectReason {
     /// Stable lowercase name for displays and JSON.
     pub fn name(self) -> &'static str {
         match self {
-            RejectReason::QueueFull => "queue_full",
-            RejectReason::Timeout => "timeout",
             RejectReason::ShuttingDown => "shutting_down",
             RejectReason::Injected => "injected",
         }
@@ -394,8 +380,11 @@ pub enum JobVerdict {
         /// The panic payload, rendered.
         message: String,
     },
-    /// Shed at admission instead of queued — the typed fail-fast
-    /// outcome of [`ShedPolicy`](crate::ShedPolicy) admission control.
+    /// Refused at admission instead of queued: [`Service::submit`]
+    /// raced a shutdown, or the `queue.accept` failpoint fired. The
+    /// handle comes back already terminal, so the caller never hangs.
+    ///
+    /// [`Service::submit`]: crate::Service::submit
     Rejected {
         /// Why admission refused the job.
         reason: RejectReason,

@@ -5,8 +5,11 @@
 //! cancellable, concurrently schedulable unit of work:
 //!
 //! * [`Service`] — a std-only worker pool (threads + mpsc) with a
-//!   bounded job queue. [`Service::submit`] returns a [`JobHandle`]
-//!   for status polling, cooperative cancellation, and blocking waits.
+//!   bounded job queue; the pool is the only executor. [`Service::submit`]
+//!   is the only way in: it blocks while the queue is full and returns
+//!   a [`JobHandle`] for status polling, cooperative cancellation, and
+//!   blocking waits. A batch on N workers serializes byte-identically
+//!   to a 1-worker run.
 //! * [`fingerprint_aig`] — a canonical topological hash over an AIG's
 //!   gates and outputs; the two-tier result cache keyed on it answers
 //!   resubmitted/isomorphic netlists without a saturation run. The
@@ -15,16 +18,17 @@
 //!   [`ServiceConfig`]'s `cache_dir`) persists results across process
 //!   lifetimes. Concurrent identical submissions are single-flighted:
 //!   one pipeline runs, the rest coalesce onto its result.
-//! * Per-job deadlines: a watchdog thread cancels a job's
-//!   [`CancelToken`](boole::CancelToken) when its deadline passes; the
-//!   runner observes it between rules, so runaway jobs die without
-//!   poisoning the pool.
+//! * Per-job deadlines, counted from submission: a watchdog thread
+//!   cancels a job's [`CancelToken`](boole::CancelToken) when its
+//!   deadline passes; the runner observes it between rules, so runaway
+//!   jobs die without poisoning the pool.
 //! * Robustness: panicking pipelines are isolated per job (the worker
 //!   survives, the handle resolves as [`JobStatus::Panicked`]),
-//!   transient failures retry with exponential backoff, overload can
-//!   shed instead of block ([`ShedPolicy`]), and every I/O and
-//!   scheduling edge carries a named failpoint ([`FaultRegistry`]) so
-//!   chaos tests can drive rare error paths deterministically.
+//!   transient failures retry with exponential backoff, a submit that
+//!   cannot be queued (shutdown, injected admission fault) resolves as
+//!   a typed [`JobVerdict::Rejected`], and every I/O and scheduling
+//!   edge carries a named failpoint ([`FaultRegistry`]) so chaos tests
+//!   can drive rare error paths deterministically.
 //!
 //! Netlists arrive in any registered frontend format — ASCII/binary
 //! AIGER, BLIF, or structural Verilog ([`JobSpec::file`] dispatches by
@@ -53,8 +57,5 @@ pub use job::{
     GenFamily, GenPrep, GenSpec, JobOutcome, JobSource, JobSpec, JobStatus, JobVerdict,
     RejectReason, ResultSummary,
 };
-pub use service::{
-    run_spec_serial, run_spec_serial_observed, JobHandle, Service, ServiceConfig, ServiceStats,
-    ShedPolicy, SubmitError,
-};
+pub use service::{JobHandle, Service, ServiceConfig, ServiceStats};
 pub use store::{DiskStats, DiskStore, STORE_FORMAT_VERSION};

@@ -6,7 +6,7 @@
 use std::collections::BinaryHeap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
+use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::{mpsc, Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -24,60 +24,13 @@ use crate::job::{
 };
 use crate::store::{DiskStats, DiskStore};
 
-/// What [`Service::submit`] does when the bounded queue is full.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum ShedPolicy {
-    /// Block the submitter until the queue has room (the original
-    /// behavior; backpressure propagates to the caller).
-    #[default]
-    Block,
-    /// Fail fast: the job resolves immediately with a terminal
-    /// [`JobVerdict::Rejected`] outcome instead of blocking forever —
-    /// the overload behavior a network tier needs.
-    Shed,
-    /// Wait up to the duration for room, then reject.
-    Timeout(Duration),
-}
-
-/// Why [`Service::try_submit`] handed a spec back instead of queueing
-/// it. Each variant carries the spec untouched so the caller can retry
-/// (or not) without cloning up front.
-#[derive(Debug)]
-pub enum SubmitError {
-    /// The bounded queue is full right now; retrying later can
-    /// succeed.
-    QueueFull(JobSpec),
-    /// The worker channel is closed — the service is shutting down, so
-    /// retrying can never succeed.
-    ShuttingDown(JobSpec),
-    /// The `queue.accept` failpoint fired (fault-injection runs only).
-    Injected(JobSpec),
-}
-
-impl SubmitError {
-    /// Recovers the spec for resubmission.
-    pub fn into_spec(self) -> JobSpec {
-        match self {
-            SubmitError::QueueFull(spec)
-            | SubmitError::ShuttingDown(spec)
-            | SubmitError::Injected(spec) => spec,
-        }
-    }
-
-    /// True when a later retry could succeed (the queue was merely
-    /// full); false when the service is gone for good.
-    pub fn is_retryable(&self) -> bool {
-        matches!(self, SubmitError::QueueFull(_) | SubmitError::Injected(_))
-    }
-}
-
 /// Tuning knobs for a [`Service`].
 #[derive(Debug, Clone)]
 pub struct ServiceConfig {
     /// Worker threads executing pipelines (>= 1).
     pub num_workers: usize,
-    /// Bounded queue depth; [`Service::submit`] blocks, and
-    /// [`Service::try_submit`] fails fast, once this many jobs wait.
+    /// Bounded queue depth; [`Service::submit`] blocks once this many
+    /// jobs wait.
     pub queue_capacity: usize,
     /// In-memory result-cache capacity in entries. 0 disables the
     /// memory tier (every lookup falls through); the disk tier and
@@ -94,16 +47,6 @@ pub struct ServiceConfig {
     /// default) makes every telemetry site a no-op; attaching a sink
     /// never changes job results (telemetry is strictly out-of-band).
     pub telemetry: Option<TelemetrySink>,
-    /// When set, every accepted job's saturation search fans out
-    /// across this many threads (`0` = one per available CPU),
-    /// overriding whatever the spec's params carry — an operator
-    /// policy knob, like the worker count. `None` (the default)
-    /// leaves each spec's own `SaturateParams.search_threads` alone.
-    /// Results are byte-identical at any setting, so this never
-    /// affects cache keys or reproducibility.
-    pub search_threads: Option<usize>,
-    /// Overload behavior of [`Service::submit`]; the default blocks.
-    pub shed_policy: ShedPolicy,
     /// Retry budget for transiently-failing jobs (I/O errors loading a
     /// netlist, injected transient faults). `0` disables retries;
     /// permanent failures (parse errors, panics) never retry.
@@ -131,8 +74,6 @@ impl Default for ServiceConfig {
             cache_capacity: 256,
             cache_dir: None,
             telemetry: None,
-            search_threads: None,
-            shed_policy: ShedPolicy::Block,
             max_retries: 2,
             retry_base: Duration::from_millis(25),
             faults: None,
@@ -147,8 +88,8 @@ impl ServiceConfig {
         self
     }
 
-    /// Sets the bounded job-queue depth (the admission-control
-    /// backlog a [`ShedPolicy`] guards).
+    /// Sets the bounded job-queue depth (the backlog past which
+    /// [`Service::submit`] blocks).
     pub fn with_queue_capacity(mut self, capacity: usize) -> Self {
         self.queue_capacity = capacity.max(1);
         self
@@ -163,20 +104,6 @@ impl ServiceConfig {
     /// Attaches a telemetry hub (event bus + metrics registry).
     pub fn with_telemetry(mut self, telemetry: TelemetrySink) -> Self {
         self.telemetry = Some(telemetry);
-        self
-    }
-
-    /// Fans every job's saturation search across `threads` threads
-    /// (`0` = one per available CPU). See
-    /// [`ServiceConfig::search_threads`].
-    pub fn with_search_threads(mut self, threads: usize) -> Self {
-        self.search_threads = Some(threads);
-        self
-    }
-
-    /// Sets the overload behavior of [`Service::submit`].
-    pub fn with_shed_policy(mut self, policy: ShedPolicy) -> Self {
-        self.shed_policy = policy;
         self
     }
 
@@ -202,7 +129,7 @@ impl ServiceConfig {
 /// Aggregate service counters (see also [`CacheStats`]).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ServiceStats {
-    /// Jobs accepted by `submit`/`try_submit`.
+    /// Jobs passed to [`Service::submit`] (rejected ones included).
     pub submitted: u64,
     /// Jobs that completed with a result.
     pub completed: u64,
@@ -212,8 +139,8 @@ pub struct ServiceStats {
     pub failed: u64,
     /// Jobs whose pipeline panicked (isolated; the worker survived).
     pub panicked: u64,
-    /// Jobs rejected at admission (queue full under a shed/timeout
-    /// policy, submit during shutdown, or an injected admission fault).
+    /// Jobs rejected at admission (submit during shutdown, or an
+    /// injected admission fault).
     pub shed: u64,
     /// Individual retry attempts across all jobs (a job retried twice
     /// contributes two).
@@ -565,8 +492,6 @@ pub struct Service {
     workers: Vec<JoinHandle<()>>,
     watchdog: Option<JoinHandle<()>>,
     next_id: AtomicU64,
-    search_threads: Option<usize>,
-    shed_policy: ShedPolicy,
 }
 
 impl Service {
@@ -630,21 +555,15 @@ impl Service {
             workers,
             watchdog: Some(watchdog),
             next_id: AtomicU64::new(1),
-            search_threads: config.search_threads,
-            shed_policy: config.shed_policy,
         }
     }
 
     /// Builds the job record and installs the per-job token in the
-    /// spec's params (replacing any token the caller left there),
-    /// plus the service-wide search-thread override, if configured.
+    /// spec's params (replacing any token the caller left there).
     fn make_state(&self, spec: &mut JobSpec) -> Arc<JobState> {
         let id = self.next_id.fetch_add(1, Ordering::Relaxed);
         let cancel = CancelToken::new();
         spec.params = std::mem::take(&mut spec.params).with_cancel_token(cancel.clone());
-        if let Some(threads) = self.search_threads {
-            spec.params.saturate.search_threads = threads;
-        }
         Arc::new(JobState {
             id,
             label: spec.label.clone(),
@@ -659,8 +578,12 @@ impl Service {
         })
     }
 
-    /// Counts a submitted job and publishes its `job_submitted` event.
-    fn announce(&self, state: &JobState) {
+    /// Accounts a submitted job before it is queued: the `submitted`
+    /// counter, the `job_submitted` event, the queue-depth gauge, and
+    /// the deadline. All of it happens before the send, because a
+    /// worker may start the job (publishing `job_started` and lowering
+    /// the gauge) the moment it is queued.
+    fn announce(&self, deadline: Option<Duration>, state: &Arc<JobState>) {
         self.shared
             .counters
             .submitted
@@ -671,12 +594,8 @@ impl Service {
                 label: state.label.clone(),
             });
             telemetry.metrics.counter("jobs_submitted").inc();
+            telemetry.metrics.gauge("queue_depth").add(1);
         }
-    }
-
-    /// Accounts an accepted, announced job: deadline registration and
-    /// the queue-depth gauge.
-    fn register(&self, deadline: Option<Duration>, state: &Arc<JobState>) {
         if let Some(deadline) = deadline {
             // Poison recovery: the heap is valid after any partial
             // update, and a panicked deadline holder must not make
@@ -688,136 +607,46 @@ impl Service {
             });
             self.shared.watchdog_wake.notify_one();
         }
-        if let Some(telemetry) = &self.shared.telemetry {
-            telemetry.metrics.gauge("queue_depth").add(1);
-        }
     }
 
-    /// Submits a job. Queue-full behavior follows the configured
-    /// [`ShedPolicy`]: block (the default), reject immediately, or
-    /// reject after a bounded wait. Rejected jobs — including submits
-    /// racing a shutdown — come back with a handle that is *already*
-    /// terminal ([`JobVerdict::Rejected`]); the caller never observes
-    /// a hang or a panic.
-    pub fn submit(&self, spec: JobSpec) -> JobHandle {
-        self.submit_with_policy(spec, self.shed_policy)
-    }
-
-    /// Submits a job, waiting at most `timeout` for queue room before
-    /// rejecting with [`RejectReason::Timeout`] — a per-call override
-    /// of the configured shed policy.
-    pub fn submit_timeout(&self, spec: JobSpec, timeout: Duration) -> JobHandle {
-        self.submit_with_policy(spec, ShedPolicy::Timeout(timeout))
-    }
-
-    fn submit_with_policy(&self, mut spec: JobSpec, policy: ShedPolicy) -> JobHandle {
+    /// Submits a job, blocking while the bounded queue is full. A job
+    /// that cannot be queued — the submit raced a shutdown, or the
+    /// `queue.accept` failpoint fired — comes back with a handle that
+    /// is *already* terminal ([`JobVerdict::Rejected`]); the caller
+    /// never observes a hang or a panic.
+    pub fn submit(&self, mut spec: JobSpec) -> JobHandle {
         let state = self.make_state(&mut spec);
-        let deadline = spec.deadline;
         let fault = faults::check(self.shared.faults.as_ref(), site::QUEUE_ACCEPT);
         if fault == Some(FaultAction::Panic) {
             panic!("{}", FaultRegistry::injected(site::QUEUE_ACCEPT));
         }
-        // Announce before queueing: a worker may start the job (and
-        // publish `job_started`) as soon as it is sent.
-        self.announce(&state);
+        self.announce(spec.deadline, &state);
         if fault.is_some() {
             return self.reject(&state, RejectReason::Injected);
         }
         let sender = self.sender.as_ref().expect("service alive");
-        match policy {
-            ShedPolicy::Block => {
-                if sender.send((spec, Arc::clone(&state))).is_err() {
-                    // Workers gone: racing a shutdown. Resolve the job
-                    // terminally instead of panicking the submitter.
-                    return self.reject(&state, RejectReason::ShuttingDown);
-                }
-            }
-            ShedPolicy::Shed => match sender.try_send((spec, Arc::clone(&state))) {
-                Ok(()) => {}
-                Err(TrySendError::Full(_)) => {
-                    return self.reject(&state, RejectReason::QueueFull);
-                }
-                Err(TrySendError::Disconnected(_)) => {
-                    return self.reject(&state, RejectReason::ShuttingDown);
-                }
-            },
-            ShedPolicy::Timeout(timeout) => {
-                // std's SyncSender has no send_timeout, so poll
-                // try_send until the deadline. The 500us pause bounds
-                // the busy-wait without adding meaningful latency at
-                // job-queue timescales.
-                let give_up_at = Instant::now() + timeout;
-                let mut pending = (spec, Arc::clone(&state));
-                loop {
-                    match sender.try_send(pending) {
-                        Ok(()) => break,
-                        Err(TrySendError::Full(back)) => {
-                            if Instant::now() >= give_up_at {
-                                return self.reject(&state, RejectReason::Timeout);
-                            }
-                            pending = back;
-                            std::thread::sleep(Duration::from_micros(500));
-                        }
-                        Err(TrySendError::Disconnected(_)) => {
-                            return self.reject(&state, RejectReason::ShuttingDown);
-                        }
-                    }
-                }
-            }
+        if sender.send((spec, Arc::clone(&state))).is_err() {
+            // Workers gone: racing a shutdown. Resolve the job
+            // terminally instead of panicking the submitter.
+            return self.reject(&state, RejectReason::ShuttingDown);
         }
-        self.register(deadline, &state);
         JobHandle { state }
     }
 
     /// Resolves an announced job as terminally rejected without
     /// queueing it. Rejected jobs still count as submitted (so the
     /// accounting invariant `submitted == terminal outcomes` holds) and
-    /// emit the usual submitted/done event pair, but never touch the
-    /// deadline heap or the queue-depth gauge.
+    /// emit the usual submitted/done event pair; the queue-depth gauge
+    /// `announce` raised comes back down here.
     fn reject(&self, state: &Arc<JobState>, reason: RejectReason) -> JobHandle {
         self.shared.counters.shed.fetch_add(1, Ordering::Relaxed);
         let outcome = state.finalize(JobVerdict::Rejected { reason }, false);
         if let Some(telemetry) = &self.shared.telemetry {
+            telemetry.metrics.gauge("queue_depth").add(-1);
             publish_job_done(telemetry, &outcome);
         }
         JobHandle {
             state: Arc::clone(state),
-        }
-    }
-
-    /// Submits a job unless the queue is full (non-blocking); the
-    /// error distinguishes a transient full queue (retry later) from a
-    /// shutdown in progress (give up), and hands the spec back
-    /// untouched either way.
-    // The Err payload deliberately carries the (large,
-    // netlist-carrying) spec itself so callers can retry without
-    // cloning up front.
-    #[allow(clippy::result_large_err)]
-    pub fn try_submit(&self, mut spec: JobSpec) -> Result<JobHandle, SubmitError> {
-        let state = self.make_state(&mut spec);
-        let deadline = spec.deadline;
-        match faults::check(self.shared.faults.as_ref(), site::QUEUE_ACCEPT) {
-            Some(FaultAction::Panic) => {
-                panic!("{}", FaultRegistry::injected(site::QUEUE_ACCEPT));
-            }
-            Some(FaultAction::Error | FaultAction::Corrupt) => {
-                return Err(SubmitError::Injected(spec));
-            }
-            None => {}
-        }
-        match self
-            .sender
-            .as_ref()
-            .expect("service alive")
-            .try_send((spec, Arc::clone(&state)))
-        {
-            Ok(()) => {
-                self.announce(&state);
-                self.register(deadline, &state);
-                Ok(JobHandle { state })
-            }
-            Err(TrySendError::Full((spec, _))) => Err(SubmitError::QueueFull(spec)),
-            Err(TrySendError::Disconnected((spec, _))) => Err(SubmitError::ShuttingDown(spec)),
         }
     }
 
@@ -950,7 +779,7 @@ fn worker_loop(receiver: &JobQueue, shared: &Shared) {
         // catch is the last-resort net for panics in the cache/flight
         // bookkeeping around it.)
         let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            execute_job(&spec, &state, Some(shared), shared.telemetry.as_ref())
+            execute_job(&spec, &state, shared)
         }));
         let outcome = run.unwrap_or_else(|payload| {
             state.finalize(
@@ -981,7 +810,8 @@ fn worker_loop(receiver: &JobQueue, shared: &Shared) {
 }
 
 /// Publishes a job's terminal event and outcome metrics. Shared by the
-/// pooled and serial paths, so both emit the same stream shape.
+/// workers and admission rejections, so every job's stream ends the
+/// same way.
 fn publish_job_done(telemetry: &TelemetrySink, outcome: &JobOutcome) {
     telemetry.events.publish(EventKind::JobDone {
         job: outcome.job_id,
@@ -1029,8 +859,6 @@ enum ErrorClass {
 fn load_netlist(source: &JobSource) -> Result<aig::Aig, (String, ErrorClass)> {
     match source {
         JobSource::Netlist(aig) => Ok(aig.clone()),
-        JobSource::AagText(text) => aig::aiger::from_aag(text)
-            .map_err(|e| (format!("parse error: {e:?}"), ErrorClass::Permanent)),
         JobSource::File(path) => aig::read_netlist(path).map_err(|e| {
             // Only the OS-level read is environmental; a file that
             // *parses* wrong will parse wrong again.
@@ -1069,23 +897,15 @@ fn join_or_lead<'a>(shared: &'a Shared, key: CacheKey) -> FlightRole<'a> {
     }
 }
 
-/// Runs one job to a terminal outcome. With `shared`, the two-tier
-/// result cache is consulted/populated, concurrent identical
-/// submissions are deduplicated to one pipeline run, and pipeline
-/// counters are maintained; without it (the standalone serial path)
-/// the pipeline always runs.
-fn execute_job(
-    spec: &JobSpec,
-    state: &Arc<JobState>,
-    shared: Option<&Shared>,
-    telemetry: Option<&TelemetrySink>,
-) -> Arc<JobOutcome> {
+/// Runs one job to a terminal outcome. Unless the spec opts out, the
+/// two-tier result cache is consulted and populated and concurrent
+/// identical submissions are deduplicated to one pipeline run.
+fn execute_job(spec: &JobSpec, state: &Arc<JobState>, shared: &Shared) -> Arc<JobOutcome> {
     if state.cancel.is_cancelled() {
         return state.finalize(JobVerdict::Cancelled { phase: None }, false);
     }
     state.set_status(JobStatus::Running(None));
-    let max_retries = shared.map_or(0, |s| s.max_retries);
-    let retry_base = shared.map_or(Duration::from_millis(25), |s| s.retry_base);
+    let telemetry = shared.telemetry.as_ref();
     // Loading happens before fingerprinting, so a flaky read retries
     // here rather than surfacing as a spurious cache miss.
     let netlist = {
@@ -1094,10 +914,10 @@ fn execute_job(
             match load_netlist(&spec.source) {
                 Ok(netlist) => break netlist,
                 Err((err, class)) => {
-                    if class == ErrorClass::Permanent || attempt >= max_retries {
+                    if class == ErrorClass::Permanent || attempt >= shared.max_retries {
                         return state.finalize(JobVerdict::Failed(err), false);
                     }
-                    if !note_retry(state, shared, telemetry, attempt, retry_base) {
+                    if !note_retry(state, shared, attempt) {
                         return state.finalize(JobVerdict::Cancelled { phase: None }, false);
                     }
                     attempt += 1;
@@ -1122,7 +942,7 @@ fn execute_job(
     // The loop re-enters when a leader gives up without publishing
     // (cancelled/failed/panicked) — some waiting job then becomes the
     // new leader, so one doomed leader never strands the rest.
-    let guard = if let Some(shared) = shared.filter(|_| spec.use_cache) {
+    let guard = if spec.use_cache {
         loop {
             if state.cancel.is_cancelled() {
                 return state.finalize(JobVerdict::Cancelled { phase: None }, false);
@@ -1172,12 +992,10 @@ fn execute_job(
     } else {
         None
     };
-    if let Some(shared) = shared {
-        shared
-            .counters
-            .pipelines_run
-            .fetch_add(1, Ordering::Relaxed);
-    }
+    shared
+        .counters
+        .pipelines_run
+        .fetch_add(1, Ordering::Relaxed);
     if let Some(telemetry) = telemetry {
         // Resolved thread count of the pipeline about to run (0 means
         // one per CPU), so dashboards can correlate search_ms drops
@@ -1242,7 +1060,6 @@ fn execute_job(
             }
         }
     }));
-    let faults_ref = shared.and_then(|s| s.faults.as_ref());
     // The attempt loop. Retries run under the same flight leadership
     // (the guard stays held), so followers keep waiting through a
     // retry instead of racing to run the pipeline themselves; a
@@ -1256,7 +1073,7 @@ fn execute_job(
             // exactly where a real pipeline bug would fire;
             // Error/Corrupt model a transiently-failing pipeline and
             // feed the retry path.
-            match faults::check(faults_ref, site::WORKER_PIPELINE) {
+            match faults::check(shared.faults.as_ref(), site::WORKER_PIPELINE) {
                 Some(FaultAction::Panic) => {
                     panic!("{}", FaultRegistry::injected(site::WORKER_PIPELINE))
                 }
@@ -1279,10 +1096,10 @@ fn execute_job(
                 );
             }
             Ok(Err(transient)) => {
-                if attempt >= max_retries {
+                if attempt >= shared.max_retries {
                     return state.finalize(JobVerdict::Failed(transient), false);
                 }
-                if !note_retry(state, shared, telemetry, attempt, retry_base) {
+                if !note_retry(state, shared, attempt) {
                     return state.finalize(JobVerdict::Cancelled { phase: None }, false);
                 }
                 attempt += 1;
@@ -1308,7 +1125,7 @@ fn execute_job(
             hist.observe(rule.search_time);
         }
     }
-    if let Some(shared) = shared.filter(|_| spec.use_cache) {
+    if spec.use_cache {
         shared.cache.insert(cache_key, Arc::clone(&summary));
         if let Some(store) = &shared.store {
             store.put(&cache_key, &summary);
@@ -1356,19 +1173,11 @@ fn backoff_pause(cancel: &CancelToken, delay: Duration) -> bool {
 /// Accounts one retry — the per-job counter, the service-wide counter,
 /// the `job_retry` event — then sleeps the backoff. Returns false when
 /// the job was cancelled while backing off.
-fn note_retry(
-    state: &JobState,
-    shared: Option<&Shared>,
-    telemetry: Option<&TelemetrySink>,
-    attempt: u32,
-    base: Duration,
-) -> bool {
-    let delay = backoff_delay(base, attempt, state.id);
+fn note_retry(state: &JobState, shared: &Shared, attempt: u32) -> bool {
+    let delay = backoff_delay(shared.retry_base, attempt, state.id);
     state.retries.fetch_add(1, Ordering::Relaxed);
-    if let Some(shared) = shared {
-        shared.counters.retried.fetch_add(1, Ordering::Relaxed);
-    }
-    if let Some(telemetry) = telemetry {
+    shared.counters.retried.fetch_add(1, Ordering::Relaxed);
+    if let Some(telemetry) = &shared.telemetry {
         telemetry.events.publish(EventKind::JobRetry {
             job: state.id,
             attempt: attempt + 1,
@@ -1395,71 +1204,6 @@ fn publish_cache_lookup(telemetry: Option<&TelemetrySink>, job: u64, tier: Cache
         (CacheTier::Disk, false) => "cache_disk_misses",
     };
     telemetry.metrics.counter(counter).inc();
-}
-
-/// Runs a spec inline on the calling thread with no pool and no cache —
-/// the reference serial path (`boole --serial`, determinism tests).
-/// A `deadline` on the spec is still honored, via a one-shot timer
-/// thread standing in for the service's watchdog.
-pub fn run_spec_serial(spec: JobSpec) -> Arc<JobOutcome> {
-    run_spec_serial_observed(spec, 0, None)
-}
-
-/// [`run_spec_serial`] with a caller-assigned job id and an optional
-/// telemetry sink. Emits the same submitted/started/phase/done event
-/// stream a pooled worker would, so `--serial` runs can be diffed
-/// against concurrent ones event-for-event.
-pub fn run_spec_serial_observed(
-    mut spec: JobSpec,
-    job_id: u64,
-    telemetry: Option<&TelemetrySink>,
-) -> Arc<JobOutcome> {
-    let cancel = CancelToken::new();
-    spec.params = spec.params.with_cancel_token(cancel.clone());
-    let state = Arc::new(JobState {
-        id: job_id,
-        label: spec.label.clone(),
-        cancel: cancel.clone(),
-        cell: Mutex::new(JobCell {
-            status: JobStatus::Queued,
-            outcome: None,
-        }),
-        done: Condvar::new(),
-        submitted_at: Instant::now(),
-        retries: AtomicU32::new(0),
-    });
-    if let Some(telemetry) = telemetry {
-        telemetry.events.publish(EventKind::JobSubmitted {
-            job: job_id,
-            label: spec.label.clone(),
-        });
-        telemetry.metrics.counter("jobs_submitted").inc();
-        telemetry
-            .events
-            .publish(EventKind::JobStarted { job: job_id });
-        telemetry.metrics.gauge("in_flight_jobs").add(1);
-    }
-    // `disarm` going out of scope (dropping the sender) wakes the
-    // timer early so it never outlives the job it guards.
-    let timer = spec.deadline.map(|deadline| {
-        let (disarm, armed) = mpsc::channel::<()>();
-        let handle = std::thread::spawn(move || {
-            if let Err(mpsc::RecvTimeoutError::Timeout) = armed.recv_timeout(deadline) {
-                cancel.cancel();
-            }
-        });
-        (disarm, handle)
-    });
-    let outcome = execute_job(&spec, &state, None, telemetry);
-    if let Some((disarm, handle)) = timer {
-        drop(disarm);
-        let _ = handle.join();
-    }
-    if let Some(telemetry) = telemetry {
-        publish_job_done(telemetry, &outcome);
-        telemetry.metrics.gauge("in_flight_jobs").add(-1);
-    }
-    outcome
 }
 
 #[cfg(test)]

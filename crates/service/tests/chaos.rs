@@ -16,11 +16,12 @@ use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 use boole::json::ToJson;
+use boole::telemetry::Telemetry;
 use boole::BooleParams;
 use boole_service::faults::site;
 use boole_service::{
     FaultAction, FaultPolicy, FaultRegistry, GenSpec, JobHandle, JobSpec, JobStatus, JobVerdict,
-    RejectReason, Service, ServiceConfig, ShedPolicy, SubmitError, Trigger,
+    RejectReason, Service, ServiceConfig, Trigger,
 };
 use proptest::prelude::*;
 
@@ -141,15 +142,17 @@ fn an_exhausted_retry_budget_fails_the_job_with_the_injected_error() {
 }
 
 #[test]
-fn queue_full_races_under_shed_policy_resolve_every_job_terminally() {
+fn queue_full_races_under_blocking_submit_resolve_every_job_terminally() {
+    let telemetry = Arc::new(Telemetry::new());
     let service = Arc::new(Service::new(
         ServiceConfig::default()
             .with_workers(1)
-            .with_shed_policy(ShedPolicy::Shed)
-            .with_queue_capacity(1),
+            .with_queue_capacity(1)
+            .with_telemetry(Arc::clone(&telemetry)),
     ));
     // Three submitters race a one-deep queue and a single worker:
-    // acceptance is a genuine race, but termination must not be.
+    // who waits on the full queue is a genuine race, but every submit
+    // must block until there is room, never drop the job.
     let handles: Arc<Mutex<Vec<JobHandle>>> = Arc::new(Mutex::new(Vec::new()));
     std::thread::scope(|scope| {
         for _ in 0..3 {
@@ -169,59 +172,36 @@ fn queue_full_races_under_shed_policy_resolve_every_job_terminally() {
         let outcome = handle
             .wait_timeout(Duration::from_secs(60))
             .expect("every submitted job must reach a terminal status");
-        if let JobVerdict::Rejected { reason } = &outcome.verdict {
-            assert_eq!(*reason, RejectReason::QueueFull);
-        }
+        assert!(
+            outcome.summary().is_some(),
+            "a blocking submit must never lose a job: {:?}",
+            outcome.verdict
+        );
     }
     let stats = Arc::try_unwrap(service).ok().unwrap().shutdown();
     assert_eq!(stats.submitted, 12);
-    assert!(stats.shed > 0, "a one-deep queue must have shed something");
-    assert!(stats.completed > 0, "accepted jobs must still complete");
+    assert_eq!(stats.completed, 12);
+    assert_eq!(stats.shed, 0, "blocking admission rejects nothing");
     assert_balanced(&stats);
+    assert_eq!(telemetry.metrics.gauge("queue_depth").get(), 0);
 }
 
 #[test]
-fn submit_timeout_rejects_after_the_bounded_wait() {
-    let service = Service::new(
-        ServiceConfig::default()
-            .with_workers(1)
-            .with_queue_capacity(1),
-    );
-    // Fill the worker and the queue with jobs that outlive the wait.
-    let running = service.submit(spec("csa:4"));
-    let queued = service.submit(spec("wallace:4"));
-    let rejected = service.submit_timeout(spec("booth:4"), Duration::from_millis(5));
-    let outcome = rejected.wait();
-    assert_eq!(outcome.status(), JobStatus::Rejected);
-    assert!(matches!(
-        outcome.verdict,
-        JobVerdict::Rejected {
-            reason: RejectReason::Timeout
-        }
-    ));
-    running.cancel();
-    queued.cancel();
-    assert!(running.wait().status().is_terminal());
-    assert!(queued.wait().status().is_terminal());
-    let stats = service.shutdown();
-    assert_eq!(stats.submitted, 3);
-    assert_eq!(stats.shed, 1);
-    assert_balanced(&stats);
-}
-
-#[test]
-fn injected_admission_faults_reject_typed_on_both_submit_paths() {
+fn injected_admission_faults_reject_typed_and_keep_queue_depth_balanced() {
     let faults = Arc::new(FaultRegistry::new());
     faults.configure(
         site::QUEUE_ACCEPT,
         policy(Trigger::Nth(1), FaultAction::Error),
     );
+    let telemetry = Arc::new(Telemetry::new());
     let service = Service::new(
         ServiceConfig::default()
             .with_workers(1)
-            .with_faults(Arc::clone(&faults)),
+            .with_faults(Arc::clone(&faults))
+            .with_telemetry(Arc::clone(&telemetry)),
     );
-    // Blocking path: the handle comes back already terminal.
+    let queue_depth = || telemetry.metrics.gauge("queue_depth").get();
+    // The handle comes back already terminal.
     let outcome = service.submit(spec("csa:3")).wait();
     assert!(matches!(
         outcome.verdict,
@@ -229,22 +209,25 @@ fn injected_admission_faults_reject_typed_on_both_submit_paths() {
             reason: RejectReason::Injected
         }
     ));
-    // Non-blocking path: a typed error carrying the spec back.
-    faults.configure(
-        site::QUEUE_ACCEPT,
-        policy(Trigger::Nth(1), FaultAction::Error),
+    // The gauge is raised before the send and lowered again on
+    // rejection, so a rejected job leaves no phantom queue entry.
+    assert_eq!(
+        queue_depth(),
+        0,
+        "a rejected submit must not leave depth behind"
     );
-    let Err(err) = service.try_submit(spec("csa:3")) else {
-        panic!("the armed queue.accept failpoint must reject try_submit");
-    };
-    assert!(matches!(err, SubmitError::Injected(_)));
-    assert!(err.is_retryable());
-    // The recovered spec resubmits cleanly once the failpoint is spent.
-    let retried = service.submit(err.into_spec()).wait();
+    // The same spec resubmits cleanly once the failpoint is spent.
+    let retried = service.submit(spec("csa:3")).wait();
     assert!(retried.summary().is_some());
+    assert_eq!(
+        queue_depth(),
+        0,
+        "a completed job must leave the queue empty"
+    );
     let stats = service.shutdown();
-    assert_eq!(stats.submitted, 2, "try_submit rejection never counts");
+    assert_eq!(stats.submitted, 2, "a rejected submit still counts");
     assert_eq!(stats.shed, 1);
+    assert_eq!(stats.completed, 1);
     assert_balanced(&stats);
 }
 
@@ -366,15 +349,9 @@ fn chaos_round(rng: &mut TestRng) {
         };
         faults.configure(site_name, FaultPolicy { trigger, action });
     }
-    let shed_policy = match rng.below(3) {
-        0 => ShedPolicy::Block,
-        1 => ShedPolicy::Shed,
-        _ => ShedPolicy::Timeout(Duration::from_millis(2)),
-    };
     let cache_dir = (rng.below(2) == 0).then(|| temp_dir(&format!("prop-{}", rng.next_u64())));
     let mut config = ServiceConfig::default()
         .with_workers(1 + rng.below(3) as usize)
-        .with_shed_policy(shed_policy)
         .with_max_retries(rng.below(3) as u32)
         .with_retry_base(Duration::from_millis(1))
         .with_faults(Arc::clone(&faults))

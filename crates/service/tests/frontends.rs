@@ -34,7 +34,6 @@ fn cross_format_submissions_share_one_cache_entry() {
         cache_capacity: 8,
         cache_dir: None,
         telemetry: None,
-        search_threads: None,
         ..ServiceConfig::default()
     });
     let spec = |path: &PathBuf| JobSpec::file(path).with_params(BooleParams::small());

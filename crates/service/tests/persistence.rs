@@ -23,7 +23,6 @@ fn config(cache_dir: &std::path::Path) -> ServiceConfig {
         cache_capacity: 8,
         cache_dir: Some(cache_dir.to_path_buf()),
         telemetry: None,
-        search_threads: None,
         ..ServiceConfig::default()
     }
 }

@@ -1,12 +1,14 @@
 //! Integration tests for the batch-reasoning service: concurrent ==
 //! serial determinism, cache behavior, and cooperative cancellation.
 
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use boole::json::ToJson;
-use boole::BooleParams;
+use boole::{BoolE, BooleParams};
 use boole_service::{
-    run_spec_serial, GenSpec, JobSpec, JobStatus, JobVerdict, Service, ServiceConfig,
+    GenSpec, JobOutcome, JobSource, JobSpec, JobStatus, JobVerdict, ResultSummary, Service,
+    ServiceConfig,
 };
 
 /// Eight distinct jobs mixing families, widths, and preparations.
@@ -40,7 +42,6 @@ fn four_worker_batch_matches_serial_byte_for_byte() {
         cache_capacity: 64,
         cache_dir: None,
         telemetry: None,
-        search_threads: None,
         ..ServiceConfig::default()
     });
     let concurrent = service.run_batch(mixed_specs());
@@ -48,27 +49,41 @@ fn four_worker_batch_matches_serial_byte_for_byte() {
     assert_eq!(stats.submitted, 8);
     assert_eq!(stats.completed, 8);
 
-    let serial: Vec<_> = mixed_specs().into_iter().map(run_spec_serial).collect();
-    assert_eq!(concurrent.len(), serial.len());
-    for (c, s) in concurrent.iter().zip(&serial) {
-        assert_eq!(c.label, s.label);
+    // The reference runs the pipeline inline and calls no service code.
+    let specs = mixed_specs();
+    assert_eq!(concurrent.len(), specs.len());
+    for (c, spec) in concurrent.iter().zip(&specs) {
+        assert_eq!(c.label, spec.label);
+        let JobSource::Generate(gen) = &spec.source else {
+            unreachable!("mixed_specs are generated")
+        };
+        let reference = ResultSummary::from(&BoolE::new(spec.params.clone()).run(&gen.build()));
         // The canonical JSON excludes wall-clock timing by contract;
         // everything else must agree byte-for-byte.
         assert_eq!(
-            c.to_json().to_string(),
-            s.to_json().to_string(),
-            "job {} diverged between 4-worker and serial execution",
+            c.summary().unwrap().to_json().to_string(),
+            reference.to_json().to_string(),
+            "job {} diverged between the 4-worker service and the inline pipeline",
             c.label
         );
         assert!(c.summary().unwrap().exact_fa_count >= 1 || c.label == "csa:2");
     }
 }
 
+/// Runs `specs` on a fresh 1-worker service with the cache off: one
+/// job at a time, every pipeline run from scratch.
+fn one_worker_uncached(specs: Vec<JobSpec>) -> Vec<Arc<JobOutcome>> {
+    let service = Service::new(ServiceConfig::default().with_workers(1));
+    let outcomes = service.run_batch(specs.into_iter().map(JobSpec::without_cache));
+    service.shutdown();
+    outcomes
+}
+
 #[test]
 fn duplicate_netlists_serialize_identically_across_modes() {
-    // Two identical jobs: concurrently the second may be served from
-    // cache, serially it never is. The canonical JSON must not leak
-    // that difference.
+    // Two identical jobs: on two cached workers the second may be
+    // served from cache (or coalesced), on one uncached worker it never
+    // is. The canonical JSON must not leak that difference.
     let specs = || {
         (0..2)
             .map(|_| {
@@ -83,12 +98,12 @@ fn duplicate_netlists_serialize_identically_across_modes() {
         cache_capacity: 4,
         cache_dir: None,
         telemetry: None,
-        search_threads: None,
         ..ServiceConfig::default()
     });
     let concurrent = service.run_batch(specs());
     service.shutdown();
-    let serial: Vec<_> = specs().into_iter().map(run_spec_serial).collect();
+    let serial = one_worker_uncached(specs());
+    assert!(serial.iter().all(|s| !s.from_cache));
     for (c, s) in concurrent.iter().zip(&serial) {
         assert_eq!(c.to_json().to_string(), s.to_json().to_string());
     }
@@ -97,8 +112,8 @@ fn duplicate_netlists_serialize_identically_across_modes() {
 #[test]
 fn search_threads_never_change_the_canonical_result_json() {
     // The parallel in-saturation rule search must be invisible in the
-    // result document: whatever thread count the operator configures,
-    // the canonical JSON stays byte-identical to the serial oracle's.
+    // result document: whatever thread count a spec asks for, the
+    // canonical JSON stays byte-identical to the one-thread run's.
     let spec = |threads: Option<usize>| {
         let mut params = BooleParams::small().without_time_limit();
         if let Some(threads) = threads {
@@ -106,50 +121,16 @@ fn search_threads_never_change_the_canonical_result_json() {
         }
         JobSpec::generated(GenSpec::parse("wallace:4").unwrap()).with_params(params)
     };
-    let oracle = run_spec_serial(spec(None));
-    let oracle_json = oracle.to_json().to_string();
-    assert!(oracle.summary().is_some(), "oracle job failed");
-
-    // Via the per-spec knob on the serial path.
-    for threads in [2, 5] {
-        let parallel = run_spec_serial(spec(Some(threads)));
+    let outcomes = one_worker_uncached(vec![spec(None), spec(Some(2)), spec(Some(5))]);
+    let oracle_json = outcomes[0].to_json().to_string();
+    assert!(outcomes[0].summary().is_some(), "oracle job failed");
+    for (outcome, threads) in outcomes[1..].iter().zip([2, 5]) {
         assert_eq!(
-            parallel.to_json().to_string(),
+            outcome.to_json().to_string(),
             oracle_json,
             "per-spec search_threads={threads} changed the result JSON"
         );
     }
-
-    // Via the service-wide operator override.
-    let service = Service::new(ServiceConfig {
-        num_workers: 1,
-        queue_capacity: 4,
-        cache_capacity: 4,
-        cache_dir: None,
-        telemetry: None,
-        search_threads: Some(3),
-        ..ServiceConfig::default()
-    });
-    let outcome = service.submit(spec(None)).wait();
-    service.shutdown();
-    assert!(!outcome.from_cache);
-    assert_eq!(
-        outcome.to_json().to_string(),
-        oracle_json,
-        "ServiceConfig::search_threads changed the result JSON"
-    );
-}
-
-#[test]
-fn serial_path_honors_deadline() {
-    let spec = JobSpec::generated(GenSpec::parse("csa:8").unwrap())
-        .with_deadline(Duration::from_millis(1));
-    let outcome = run_spec_serial(spec);
-    assert!(
-        matches!(outcome.verdict, JobVerdict::Cancelled { .. }),
-        "serial deadline must cancel, got {:?}",
-        outcome.status()
-    );
 }
 
 #[test]
@@ -160,7 +141,6 @@ fn resubmitted_netlist_is_answered_from_cache_without_saturation() {
         cache_capacity: 8,
         cache_dir: None,
         telemetry: None,
-        search_threads: None,
         ..ServiceConfig::default()
     });
     let spec =
@@ -216,7 +196,6 @@ fn cold_cache_stampede_runs_saturation_exactly_once() {
         cache_capacity: 16,
         cache_dir: None,
         telemetry: None,
-        search_threads: None,
         ..ServiceConfig::default()
     });
     let specs: Vec<JobSpec> = (0..6)
@@ -254,7 +233,6 @@ fn cancelled_leader_does_not_strand_coalesced_followers() {
         cache_capacity: 16,
         cache_dir: None,
         telemetry: None,
-        search_threads: None,
         ..ServiceConfig::default()
     });
     let spec = || {
@@ -286,7 +264,6 @@ fn one_ms_deadline_cancels_cooperatively_without_poisoning_the_pool() {
         cache_capacity: 8,
         cache_dir: None,
         telemetry: None,
-        search_threads: None,
         ..ServiceConfig::default()
     });
     // csa:8 saturates for many seconds under default params; a 1 ms
@@ -323,7 +300,6 @@ fn explicit_cancel_stops_a_large_job_mid_saturation() {
         cache_capacity: 4,
         cache_dir: None,
         telemetry: None,
-        search_threads: None,
         ..ServiceConfig::default()
     });
     // Give the job a huge budget so only cancellation can stop it soon.
@@ -375,7 +351,6 @@ fn queued_jobs_cancel_before_running() {
         cache_capacity: 8,
         cache_dir: None,
         telemetry: None,
-        search_threads: None,
         ..ServiceConfig::default()
     });
     let blocker = service.submit(
@@ -403,20 +378,17 @@ fn failed_sources_are_reported_not_panicked() {
         cache_capacity: 4,
         cache_dir: None,
         telemetry: None,
-        search_threads: None,
         ..ServiceConfig::default()
     });
-    let missing = service.submit(JobSpec::aag_file("/nonexistent/never.aag"));
+    let missing = service.submit(JobSpec::file("/nonexistent/never.aag"));
     let outcome = missing.wait();
     assert!(matches!(outcome.verdict, JobVerdict::Failed(_)));
-    let garbled = service.submit(JobSpec {
-        label: "garbled".to_owned(),
-        source: boole_service::JobSource::AagText("not an aiger file".to_owned()),
-        params: BooleParams::small(),
-        deadline: None,
-        use_cache: true,
-    });
+    let garbled_path =
+        std::env::temp_dir().join(format!("boole-garbled-{}.aag", std::process::id()));
+    std::fs::write(&garbled_path, "not an aiger file").unwrap();
+    let garbled = service.submit(JobSpec::file(&garbled_path).with_params(BooleParams::small()));
     assert!(matches!(garbled.wait().verdict, JobVerdict::Failed(_)));
+    std::fs::remove_file(&garbled_path).ok();
     let stats = service.shutdown();
     assert_eq!(stats.failed, 2);
 }

@@ -1,13 +1,13 @@
 //! Event-stream invariants: phase bracketing per job, gapless sequence
-//! numbers (modulo explicit `dropped` markers), terminal events under
-//! cancellation, and serial/pooled stream parity.
+//! numbers (modulo explicit `dropped` markers), and terminal events
+//! under cancellation.
 
 use std::sync::Arc;
 use std::time::Duration;
 
 use boole::telemetry::{EventKind, Telemetry, TelemetryEvent, TelemetrySink};
 use boole::BooleParams;
-use boole_service::{run_spec_serial_observed, GenSpec, JobSpec, Service, ServiceConfig};
+use boole_service::{GenSpec, JobSpec, Service, ServiceConfig};
 
 fn sink() -> TelemetrySink {
     Arc::new(Telemetry::new())
@@ -150,55 +150,9 @@ fn pooled_batch_stream_is_bracketed_and_gapless() {
 }
 
 #[test]
-fn serial_stream_is_bracketed_and_matches_pooled_per_job() {
-    let specs = ["csa:2", "csa:3", "wallace:3"];
-
-    let serial = sink();
-    for (i, text) in specs.iter().enumerate() {
-        run_spec_serial_observed(spec(text), i as u64 + 1, Some(&serial));
-    }
-    serial.events.close();
-    let serial_events = serial.events.drain();
-    assert_stream_invariants(&serial_events);
-
-    let pooled = sink();
-    let service = Service::new(config(1, &pooled));
-    service.run_batch(specs.iter().map(|t| spec(t)));
-    service.shutdown();
-    pooled.events.close();
-    let pooled_events = pooled.events.drain();
-    assert_stream_invariants(&pooled_events);
-
-    // Per job, the serial stream is the pooled stream minus the cache
-    // probes the serial path (cache-less by construction) never makes.
-    let shape = |events: &[TelemetryEvent], job: u64| -> Vec<String> {
-        events
-            .iter()
-            .filter(|e| job_of(&e.kind) == Some(job))
-            .filter_map(|e| match &e.kind {
-                EventKind::CacheHit { .. } | EventKind::CacheMiss { .. } => None,
-                EventKind::PhaseStarted { phase, .. } => Some(format!("phase_started:{phase}")),
-                EventKind::PhaseFinished { phase, .. } => Some(format!("phase_finished:{phase}")),
-                EventKind::Iteration { ruleset, index, .. } => {
-                    Some(format!("iteration:{ruleset}:{index}"))
-                }
-                kind => Some(kind.name().to_owned()),
-            })
-            .collect()
-    };
-    for job in 1..=specs.len() as u64 {
-        assert_eq!(
-            shape(&serial_events, job),
-            shape(&pooled_events, job),
-            "job {job}: serial and pooled streams diverged"
-        );
-    }
-}
-
-#[test]
 fn deadline_doomed_job_still_emits_terminal_event() {
-    // Pooled: a job whose deadline expires mid-saturation must still
-    // close its stream with job_done { status: "cancelled" }.
+    // A job whose deadline expires mid-saturation must still close its
+    // stream with job_done { status: "cancelled" }.
     let telemetry = sink();
     let service = Service::new(config(1, &telemetry));
     let doomed = JobSpec::generated(GenSpec::parse("csa:8").unwrap())
@@ -215,20 +169,6 @@ fn deadline_doomed_job_still_emits_terminal_event() {
         })
         .collect::<Vec<_>>();
     assert_eq!(terminal, ["cancelled"], "events: {events:?}");
-
-    // Serial path: same guarantee.
-    let serial = sink();
-    let doomed = JobSpec::generated(GenSpec::parse("csa:8").unwrap())
-        .with_deadline(Duration::from_millis(1));
-    run_spec_serial_observed(doomed, 1, Some(&serial));
-    serial.events.close();
-    let events = serial.events.drain();
-    assert!(
-        events
-            .iter()
-            .any(|e| matches!(&e.kind, EventKind::JobDone { status, .. } if status == "cancelled")),
-        "events: {events:?}"
-    );
 }
 
 #[test]
